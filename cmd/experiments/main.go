@@ -8,23 +8,23 @@
 //	experiments -experiment F3  # one experiment
 //	experiments -csv            # machine-readable output
 //	experiments -list           # list IDs and titles
-//	experiments -shards 8       # fan each sweep out to 8 worker subprocesses
+//	experiments -shards 8       # fan each sweep out to 8 spawned agent processes
 //	experiments -agent :7101    # serve sweep chunks to a remote coordinator
 //	experiments -agents h1:7101,h2:7101   # dispatch across a cluster fleet
 //	experiments -metrics :9090  # serve Prometheus /metrics (+ pprof) while running
 //
-// -metrics works in every mode — sequential, coordinator, agent and
-// worker — and announces the bound address on stderr as "metrics
-// listening <addr>". Instrumentation is determinism-safe: tables stay
+// -metrics works in every mode — sequential, coordinator and agent — and
+// announces the bound address on stderr as "metrics listening <addr>".
+// Instrumentation is determinism-safe: tables stay
 // byte-identical with metrics on (see repro/internal/obs).
 //
-// With -shards N (N ≥ 2) the command becomes a sweep orchestrator: it
-// re-execs itself once per shard as `experiments -shard i/N -experiment F3
-// -points i,j,k -csv`, each worker evaluates its LPT-assigned slice of the
-// scenario-point grid in its own process (own Go runtime, own GC), and the
-// parent merges the shard output into tables byte-identical to the
-// sequential run. -shards 1 (the default) keeps everything in this process
-// on the worker pool.
+// With -shards N (N ≥ 2) the command spawns N loopback agent subprocesses
+// (`experiments -agent 127.0.0.1:0`) and runs every sweep through the
+// cluster coordinator across them, with the coordinator's own local agent
+// disabled — so N is the number of worker processes, each with its own Go
+// runtime and GC. The agents are stopped when the command exits, on
+// success or on a fatal error. -shards 1 (the default) keeps everything in
+// this process on the worker pool.
 //
 // With -agents the command becomes a cluster coordinator: it connects to
 // the listed `experiments -agent :port` fleet (any reachable machines
@@ -32,7 +32,8 @@
 // chunks to whichever agent is free — costliest unfinished work first, with
 // heartbeat-based failure detection and re-dispatch (see
 // repro/internal/cluster). Output stays byte-identical to the sequential
-// run, even when agents die mid-sweep.
+// run, even when agents die mid-sweep. -agents and -shards combine: the
+// spawned agents join the listed fleet in place of the local agent.
 //
 // With -checkpoint the sweep becomes durable: every verified chunk is
 // journaled to the given file (crash-safe append; internal/sweep
@@ -40,7 +41,7 @@
 // or Ctrl-C — loads the journal, skips the completed points, and still
 // produces output byte-identical to an uninterrupted run. -checkpoint
 // requires -experiment (the journal is per-sweep) and works with or
-// without -agents; delete the file to start over.
+// without -agents and -shards; delete the file to start over.
 //
 // -agent accepts -chaos seed, which serves the protocol through the
 // internal/cluster/faultnet fault injector: connection refusals,
@@ -48,10 +49,6 @@
 // function of the seed. Coordinators pointed at chaos agents must still
 // merge sequential-identical output — that is the property CI's chaos step
 // exercises.
-//
-// -shard i/N (with -points) is the internal worker mode; it emits the
-// internal/sweep wire format on stdout and is not meant to be called by
-// hand.
 package main
 
 import (
@@ -69,7 +66,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 func main() {
@@ -78,11 +74,9 @@ func main() {
 		expID   = flag.String("experiment", "", "run only this experiment ID (e.g. F3)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		shards  = flag.Int("shards", 1, "fan each experiment out to N worker subprocesses (1 = in-process)")
-		shardAt = flag.String("shard", "", "worker mode: evaluate shard i/N of -experiment and emit the sweep wire format (internal)")
-		points  = flag.String("points", "", "worker mode: explicit point assignment i,j,k (internal; default round-robin from -shard)")
+		shards  = flag.Int("shards", 1, "spawn N loopback agent subprocesses and run each sweep across them (1 = in-process)")
 		agent   = flag.String("agent", "", "agent mode: serve sweep chunks on this TCP address (e.g. :7101) until killed")
-		agents  = flag.String("agents", "", "coordinator mode: comma-separated agent addresses to dispatch sweeps across (an implicit local agent is always added)")
+		agents  = flag.String("agents", "", "coordinator mode: comma-separated agent addresses to dispatch sweeps across (plus an implicit local agent, unless -shards spawns agents)")
 		ckpt    = flag.String("checkpoint", "", "journal verified chunks to this file and resume from it on restart (requires -experiment)")
 		chaos   = flag.Int64("chaos", 0, "with -agent: serve through the seeded faultnet injector (0 = off)")
 		metrics = flag.String("metrics", "", "serve Prometheus /metrics (+ pprof) on this address (e.g. :9090, :0 picks a port) and enable live instrumentation")
@@ -127,31 +121,6 @@ func main() {
 		return
 	}
 
-	if *shardAt != "" {
-		// Worker mode: one shard of one experiment, wire format on stdout.
-		shard, nShards, err := sweep.ParseShardSpec(*shardAt)
-		if err != nil {
-			fatal(err)
-		}
-		e := harness.ByID(*expID)
-		if e == nil {
-			fatal(fmt.Errorf("experiments: -shard needs a valid -experiment (got %q; use -list)", *expID))
-		}
-		if *points != "" {
-			pts, err := sweep.ParsePoints(*points)
-			if err != nil {
-				fatal(err)
-			}
-			err = sweep.RunWorkerPoints(e, shard, nShards, pts, *quick, os.Stdout)
-		} else {
-			err = sweep.RunWorker(e, shard, nShards, *quick, os.Stdout)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	exps := harness.All()
 	if *expID != "" {
 		e := harness.ByID(*expID)
@@ -162,10 +131,7 @@ func main() {
 	}
 
 	var coord *cluster.Coordinator
-	if *agents != "" || *ckpt != "" {
-		if *shards > 1 {
-			fatal(fmt.Errorf("experiments: -shards and -agents/-checkpoint are mutually exclusive (the cluster coordinator schedules per chunk; drop one of the flags)"))
-		}
+	if *agents != "" || *ckpt != "" || *shards > 1 {
 		if *ckpt != "" && len(exps) != 1 {
 			fatal(fmt.Errorf("experiments: -checkpoint journals one sweep; pick it with -experiment"))
 		}
@@ -179,40 +145,32 @@ func main() {
 		if *agents != "" {
 			coord.Agents = strings.Split(*agents, ",")
 		}
-	}
-
-	var runner *sweep.Runner
-	if coord == nil && *shards > 1 {
-		self, err := os.Executable()
-		if err != nil {
-			fatal(fmt.Errorf("experiments: cannot locate own binary for re-exec: %v", err))
+		if *shards > 1 {
+			self, err := os.Executable()
+			if err != nil {
+				fatal(fmt.Errorf("experiments: cannot locate own binary to spawn agents: %v", err))
+			}
+			addrs, stop, err := cluster.SpawnAgents(self, *shards)
+			if err != nil {
+				fatal(err)
+			}
+			stopAgents = stop
+			coord.Agents = append(coord.Agents, addrs...)
+			coord.DisableLocal = true
 		}
-		workerArgs := []string{"-csv"}
-		if *quick {
-			workerArgs = append(workerArgs, "-quick")
-		}
-		runner = &sweep.Runner{Shards: *shards, Quick: *quick, Spawn: sweep.ExecSpawner(self, workerArgs...)}
 	}
 
 	for _, e := range exps {
 		start := time.Now()
 		var table *stats.Table
-		var shardStats []sweep.ShardStats
 		var clusterRes *cluster.Result
-		switch {
-		case coord != nil:
+		if coord != nil {
 			res, err := coord.Run(e)
 			if err != nil {
 				fatal(err)
 			}
 			table, clusterRes = res.Table, res
-		case runner != nil:
-			res, err := runner.Run(e)
-			if err != nil {
-				fatal(err)
-			}
-			table, shardStats = res.Table, res.Shards
-		default:
+		} else {
 			// The in-process pool is the fast path for one process; it
 			// needs no wire round-trip, so table cells stay unrestricted.
 			table = e.Run(*quick)
@@ -222,27 +180,17 @@ func main() {
 			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, table.CSV())
 		} else {
 			fmt.Printf("%s\nexpected shape: %s\n(wall time %v", table.Render(), e.Expect, elapsed)
-			if runner != nil {
-				fmt.Printf(" across %d shards; slowest shard %v", *shards, slowest(shardStats))
-			}
 			if clusterRes != nil {
 				fmt.Printf(" across %d agents%s", len(clusterRes.Agents), clusterSummary(clusterRes))
 			}
 			fmt.Printf(")\n\n")
 		}
 	}
+	stopAgents()
 }
 
-// slowest returns the longest per-shard wall time.
-func slowest(sts []sweep.ShardStats) time.Duration {
-	var max int64
-	for _, st := range sts {
-		if st.WallNs > max {
-			max = st.WallNs
-		}
-	}
-	return time.Duration(max).Round(time.Millisecond)
-}
+// stopAgents stops the agents -shards spawned; every exit path calls it.
+var stopAgents = func() {}
 
 // clusterSummary renders the per-agent point counts, e.g.
 // "; local=3 10.0.0.2:7101=6".
@@ -265,6 +213,7 @@ func clusterSummary(res *cluster.Result) string {
 }
 
 func fatal(err error) {
+	stopAgents()
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	wlanbench [-ids F1,F2] [-runs 3] [-full] [-workers N] [-shards N] \
+//	wlanbench [-ids F1,F2] [-runs 3] [-full] [-workers N] \
 //	          [-clusteragents N | -agents h1:p,h2:p] \
-//	          [-baseline old.json] [-out BENCH_PR10.json]
+//	          [-baseline old.json] [-out BENCH_PR12.json]
 //
 // With -baseline, the report embeds the older report and per-experiment
 // speedup factors, which is how BENCH_PR1.json records the pre-PR seed
@@ -25,23 +25,16 @@
 // while serving sweep chunks, which is how a fleet of bench agents is
 // scraped mid-run.
 //
-// With -shards N (N ≥ 2), every experiment is additionally measured
-// through the multi-process sweep engine (internal/sweep): the command
-// re-execs itself once per shard as `wlanbench -shard i/N -experiment F3
-// -points i,j,k`, and each experiment's report entry gains a "sharded"
-// section with the orchestrated wall time and the per-shard timing/allocs
-// roll-up. The primary sequential numbers are unaffected, so allocs/op
-// ceilings (-failallocs) stay exact.
-//
 // With -clusteragents N (or -agents with an explicit fleet), every
 // experiment is additionally measured through the cluster engine
 // (internal/cluster): -clusteragents spawns N loopback agent subprocesses
-// (`wlanbench -agent 127.0.0.1:0`), dispatches each sweep across them with
-// cost-weighted work stealing, and records a "cluster" section with the
-// orchestrated wall time and per-agent roll-up. The local in-process agent
-// is disabled for this measurement so the numbers reflect the agent fleet
-// alone — that is what makes the 1/2/4-agent scaling table in
-// PERFORMANCE.md comparable.
+// (`wlanbench -agent 127.0.0.1:0`, through cluster.SpawnAgents — the
+// same helper behind `experiments -shards N`), dispatches each sweep
+// across them with cost-weighted work stealing, and records a "cluster"
+// section with the orchestrated wall time and per-agent roll-up. The local
+// in-process agent is disabled for this measurement so the numbers reflect
+// the agent fleet alone — that is what makes the 1/2/4-agent scaling table
+// in PERFORMANCE.md comparable.
 //
 // With -failevents report.json, each experiment's events/s must stay above
 // -eventsslack (default 0.6) of the recorded value — a floor against
@@ -70,13 +63,11 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -88,17 +79,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
-
-// ShardedResult is one experiment's measurement through the multi-process
-// sweep engine, attached next to the sequential numbers.
-type ShardedResult struct {
-	Shards       int                `json:"shards"`
-	NsPerOp      int64              `json:"ns_per_op"`
-	SpeedupVsSeq float64            `json:"speedup_vs_seq"`
-	PerShard     []sweep.ShardStats `json:"per_shard"`
-}
 
 // ClusterResult is one experiment's measurement through the cluster engine,
 // dispatched across an agent fleet with cost-weighted work stealing.
@@ -134,8 +115,6 @@ type ExpResult struct {
 	AllocsRatio   float64 `json:"allocs_ratio,omitempty"`
 	BaseNsPerOp   int64   `json:"baseline_ns_per_op,omitempty"`
 	BaseAllocsPer uint64  `json:"baseline_allocs_per_op,omitempty"`
-	// Through the sweep engine, when -shards was supplied.
-	Sharded *ShardedResult `json:"sharded,omitempty"`
 	// Through the cluster engine, when -clusteragents/-agents was supplied.
 	Cluster *ClusterResult `json:"cluster,omitempty"`
 }
@@ -146,7 +125,6 @@ type Report struct {
 	GOMAXPROCS  int         `json:"gomaxprocs"`
 	Workers     int         `json:"workers"`
 	Quick       bool        `json:"quick"`
-	Shards      int         `json:"shards,omitempty"`
 	Agents      int         `json:"agents,omitempty"`
 	Experiments []ExpResult `json:"experiments"`
 	Baseline    *Report     `json:"baseline,omitempty"`
@@ -158,17 +136,13 @@ func main() {
 	runs := flag.Int("runs", 3, "measured runs per experiment")
 	full := flag.Bool("full", false, "run full (non-quick) experiment variants")
 	workers := flag.Int("workers", 0, "harness worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "also measure each experiment across N worker subprocesses (0 = skip)")
-	shardAt := flag.String("shard", "", "worker mode: evaluate shard i/N of -experiment and emit the sweep wire format (internal)")
-	points := flag.String("points", "", "worker mode: explicit point assignment i,j,k (internal; default round-robin from -shard)")
 	agentAddr := flag.String("agent", "", "agent mode: serve sweep chunks on this TCP address until killed")
 	agentList := flag.String("agents", "", "also measure each experiment across this comma-separated agent fleet")
 	clusterAgents := flag.Int("clusteragents", 0, "spawn N loopback agent subprocesses and measure each experiment across them (0 = skip)")
-	expID := flag.String("experiment", "", "experiment ID for -shard worker mode")
 	baseline := flag.String("baseline", "", "older report to embed and compare against")
 	chaosSeed := flag.Int64("chaos", 0, "chaos mode: run each experiment's cluster sweep under the seeded faultnet injector and assert byte-identity with sequential (0 = off)")
 	ckpt := flag.String("checkpoint", "", "journal the cluster measurement's verified chunks to this file (per-experiment suffix added) and resume on restart")
-	out := flag.String("out", "BENCH_PR10.json", "output path (- for stdout)")
+	out := flag.String("out", "BENCH_PR12.json", "output path (- for stdout)")
 	note := flag.String("note", "", "free-form measurement note recorded in the report (';'-separated)")
 	failAllocs := flag.String("failallocs", "", "report whose per-experiment allocs/op are a hard ceiling: exit non-zero on any increase (allocs are deterministic, unlike wall times)")
 	failEvents := flag.String("failevents", "", "report whose per-experiment events/s are a regression floor: exit non-zero when throughput drops below -eventsslack of the recorded value")
@@ -202,32 +176,6 @@ func main() {
 		return
 	}
 
-	if *shardAt != "" {
-		// Worker mode for the sharded measurement: same protocol as
-		// `experiments -shard i/N`.
-		shard, nShards, err := sweep.ParseShardSpec(*shardAt)
-		if err != nil {
-			fatal(err)
-		}
-		e := harness.ByID(*expID)
-		if e == nil {
-			fatal(fmt.Errorf("wlanbench: -shard needs a valid -experiment (got %q)", *expID))
-		}
-		if *points != "" {
-			pts, perr := sweep.ParsePoints(*points)
-			if perr != nil {
-				fatal(perr)
-			}
-			err = sweep.RunWorkerPoints(e, shard, nShards, pts, !*full, os.Stdout)
-		} else {
-			err = sweep.RunWorker(e, shard, nShards, !*full, os.Stdout)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	var exps []*harness.Experiment
 	if *ids == "" {
 		exps = harness.All()
@@ -251,7 +199,6 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    *workers,
 		Quick:      !*full,
-		Shards:     *shards,
 	}
 	if *note != "" {
 		rep.Notes = strings.Split(*note, ";")
@@ -271,26 +218,6 @@ func main() {
 		floor = readReport(*failEvents)
 	}
 
-	var runner *sweep.Runner
-	if *shards > 1 {
-		self, err := os.Executable()
-		if err != nil {
-			fatal(fmt.Errorf("wlanbench: cannot locate own binary for re-exec: %v", err))
-		}
-		// Forward -workers so a -workers 1 parent (the CI configuration,
-		// chosen for exact allocs/op) gets workers whose self-measured
-		// allocations are equally deterministic.
-		workerArgs := []string{"-workers", fmt.Sprint(*workers)}
-		if *full {
-			workerArgs = append(workerArgs, "-full")
-		}
-		runner = &sweep.Runner{
-			Shards: *shards,
-			Quick:  !*full,
-			Spawn:  sweep.ExecSpawner(self, workerArgs...),
-		}
-	}
-
 	fleet := strings.Split(*agentList, ",")
 	if *agentList == "" {
 		fleet = nil
@@ -300,13 +227,15 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("wlanbench: cannot locate own binary for agent spawn: %v", err))
 		}
-		for i := 0; i < *clusterAgents; i++ {
-			addr, err := spawnAgent(self, *workers)
-			if err != nil {
-				fatal(fmt.Errorf("wlanbench: spawn agent %d: %v", i, err))
-			}
-			fleet = append(fleet, addr)
+		// Forward -workers so a -workers 1 parent (the CI configuration,
+		// chosen for exact allocs/op) gets agents whose self-measured
+		// allocations are equally deterministic.
+		addrs, stop, err := cluster.SpawnAgents(self, *clusterAgents, "-workers", fmt.Sprint(*workers))
+		if err != nil {
+			fatal(err)
 		}
+		stopAgents = stop
+		fleet = append(fleet, addrs...)
 	}
 	var coord *cluster.Coordinator
 	if len(fleet) > 0 {
@@ -329,13 +258,6 @@ func main() {
 	eventsRegressed := false
 	for _, e := range exps {
 		r := measureAB(e, *runs, !*full)
-		if runner != nil {
-			sh, err := measureSharded(e, runner, r.NsPerOp)
-			if err != nil {
-				fatal(err)
-			}
-			r.Sharded = sh
-		}
 		if coord != nil {
 			coord.CheckpointPath = ckptPath(*ckpt, e.ID)
 			cl, err := measureCluster(e, coord, r.NsPerOp)
@@ -398,10 +320,6 @@ func main() {
 		rep.Experiments = append(rep.Experiments, r)
 		fmt.Fprintf(os.Stderr, "%-4s %12d ns/op %10d allocs/op %12.0f events/s   metrics %+.2f%%",
 			r.ID, r.NsPerOp, r.AllocsPerOp, r.EventsPerSec, r.MetricsOverheadPct)
-		if r.Sharded != nil {
-			fmt.Fprintf(os.Stderr, "   sharded(%d) %12d ns/op (%.2fx)",
-				r.Sharded.Shards, r.Sharded.NsPerOp, r.Sharded.SpeedupVsSeq)
-		}
 		if r.Cluster != nil {
 			fmt.Fprintf(os.Stderr, "   cluster(%d) %12d ns/op (%.2fx)",
 				r.Cluster.Agents, r.Cluster.NsPerOp, r.Cluster.SpeedupVsSeq)
@@ -490,7 +408,7 @@ const abPairs = 5
 // overhead is the median of the per-pair ratios, discarding outlier
 // pairs that caught a load spike. The headline columns keep each side's
 // best pair (interference only ever slows a run). Global instrumentation
-// state is restored afterwards so the sharded/cluster measurements run
+// state is restored afterwards so the cluster measurement runs
 // under whatever -metrics selected.
 func measureAB(e *harness.Experiment, runs int, quick bool) ExpResult {
 	prevOn, prevEvery := obs.Enabled(), core.MetricsEvery
@@ -531,47 +449,6 @@ func measureAB(e *harness.Experiment, runs int, quick bool) ExpResult {
 	return r
 }
 
-// agentProcs tracks the loopback agent subprocesses -clusteragents spawned
-// so every exit path can reap them.
-var agentProcs []*exec.Cmd
-
-// spawnAgent starts `self -agent 127.0.0.1:0 -workers N` and returns the
-// address the agent announced on its stdout.
-func spawnAgent(self string, workers int) (string, error) {
-	cmd := exec.Command(self, "-agent", "127.0.0.1:0", "-workers", fmt.Sprint(workers))
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", err
-	}
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", fmt.Errorf("agent announced nothing: %v", err)
-	}
-	var addr string
-	if _, err := fmt.Sscanf(line, "cluster agent listening %s", &addr); err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", fmt.Errorf("unexpected agent announcement %q", line)
-	}
-	agentProcs = append(agentProcs, cmd)
-	return addr, nil
-}
-
-// stopAgents reaps every spawned agent subprocess.
-func stopAgents() {
-	for _, cmd := range agentProcs {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-	agentProcs = nil
-}
-
 // measureCluster runs e once through the cluster engine and rolls the
 // agents' self-reported timing/allocs into the result.
 func measureCluster(e *harness.Experiment, coord *cluster.Coordinator, seqNs int64) (*ClusterResult, error) {
@@ -591,28 +468,6 @@ func measureCluster(e *harness.Experiment, coord *cluster.Coordinator, seqNs int
 		cl.SpeedupVsSeq = round2(float64(seqNs) / float64(wall.Nanoseconds()))
 	}
 	return cl, nil
-}
-
-// measureSharded runs e once through the multi-process sweep engine and
-// rolls the workers' self-reported timing/allocs into the result. One
-// orchestrated run is enough: shard wall times are dominated by the
-// simulation itself, and the per-shard allocs are deterministic.
-func measureSharded(e *harness.Experiment, runner *sweep.Runner, seqNs int64) (*ShardedResult, error) {
-	t0 := time.Now()
-	res, err := runner.Run(e)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(t0)
-	sh := &ShardedResult{
-		Shards:   runner.Shards,
-		NsPerOp:  wall.Nanoseconds(),
-		PerShard: res.Shards,
-	}
-	if seqNs > 0 {
-		sh.SpeedupVsSeq = round2(float64(seqNs) / float64(wall.Nanoseconds()))
-	}
-	return sh, nil
 }
 
 // ckptPath derives the per-experiment checkpoint file from the -checkpoint
@@ -688,6 +543,10 @@ func runChaos(exps []*harness.Experiment, seed int64, quick bool, ckpt string) i
 	}
 	return code
 }
+
+// stopAgents stops the agents -clusteragents spawned; every exit path
+// calls it.
+var stopAgents = func() {}
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 

@@ -31,8 +31,10 @@
 //   - internal/harness runs each experiment's independent scenario points
 //     on a bounded worker pool (GOMAXPROCS workers) with row order — and
 //     therefore output — bit-identical to sequential execution.
-//   - internal/sweep scales past one process: every experiment exposes its
-//     parameter grid (harness.Grid), and the sweep engine shards the grid
-//     across worker subprocesses (`experiments -shards N`) and merges the
-//     shard output into tables byte-identical to the sequential run.
+//   - internal/cluster scales past one process: every experiment exposes
+//     its parameter grid (harness.Grid), and the cluster coordinator deals
+//     the grid's points out to agent processes — N spawned loopback agents
+//     under `experiments -shards N`, or a remote fleet under `-agents` —
+//     and merges their internal/sweep wire output into tables
+//     byte-identical to the sequential run.
 package repro

@@ -1,8 +1,10 @@
-// Package cluster scales the sweep engine past one machine: it splits sweep
-// execution into a control plane (the Coordinator, which owns scheduling,
-// fault handling and the merge) and a data plane of agents (remote
-// processes that evaluate grid points), connected by a line-oriented TCP
-// protocol layered on the internal/sweep shard wire format.
+// Package cluster is the sweep engine for every multi-process run: it
+// splits sweep execution into a control plane (the Coordinator, which owns
+// scheduling, fault handling and the merge) and a data plane of agents
+// (processes that evaluate grid points), connected by a line-oriented TCP
+// protocol layered on the internal/sweep wire format. The agents may be
+// remote machines (`experiments -agents`) or loopback subprocesses started
+// by SpawnAgents (`experiments -shards N`, `wlanbench -clusteragents N`).
 //
 // # Wire protocol
 //
@@ -202,7 +204,7 @@ func (a *Agent) serveRun(w io.Writer, line string) {
 	a.logf("run %s quick=%t points=%s", expID, quick, sweep.FormatPoints(pts))
 	obs.Agent.Chunks.Inc()
 	obs.Agent.Points.Add(uint64(len(pts)))
-	if err := sweep.RunWorkerPoints(e, 0, 1, pts, quick, w); err != nil {
+	if err := sweep.RunWorkerPoints(e, pts, quick, w); err != nil {
 		// The shard output may already be partially written; the error line
 		// makes the response unparseable on purpose, so the coordinator
 		// discards the chunk instead of merging a truncated shard.

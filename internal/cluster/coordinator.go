@@ -333,7 +333,7 @@ func (c *Coordinator) runLocal(e *harness.Experiment, s *scheduler, cp *sweep.Ch
 		}
 		t0 := time.Now()
 		var buf bytes.Buffer
-		if err := sweep.RunWorkerPoints(e, 0, 1, pts, c.Quick, &buf); err != nil {
+		if err := sweep.RunWorkerPoints(e, pts, c.Quick, &buf); err != nil {
 			s.fail(fmt.Errorf("local agent: %w", err))
 			return st
 		}

@@ -17,15 +17,20 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestMain doubles as the coordinator entry point for the kill/resume
-// subprocess test: when CLUSTER_COORD_CHILD is set, the test binary runs a
-// checkpointed local-only cluster sweep and exits — a stand-in for
-// `experiments -checkpoint` that the parent test can kill mid-run and
-// restart against the same journal.
+// TestMain doubles as two subprocess entry points. When
+// CLUSTER_COORD_CHILD is set, the test binary runs a checkpointed
+// local-only cluster sweep and exits — a stand-in for `experiments
+// -checkpoint` that the parent test can kill mid-run and restart against
+// the same journal. When started as `-agent addr …` (the argv SpawnAgents
+// uses), it serves as a loopback agent (see runAgentChild).
 func TestMain(m *testing.M) {
 	if os.Getenv("CLUSTER_COORD_CHILD") == "1" {
 		runCoordChild()
 		os.Exit(0)
+	}
+	if len(os.Args) >= 3 && os.Args[1] == "-agent" {
+		runAgentChild(os.Args[2], os.Args[3:])
+		os.Exit(1)
 	}
 	os.Exit(m.Run())
 }
@@ -146,7 +151,7 @@ func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
 	}
 	for p := 0; p < half; p++ {
 		var buf bytes.Buffer
-		if err := sweep.RunWorkerPoints(e, 0, 1, []int{p}, true, &buf); err != nil {
+		if err := sweep.RunWorkerPoints(e, []int{p}, true, &buf); err != nil {
 			t.Fatal(err)
 		}
 		_, byPoint, st, err := sweep.ParseShard(&buf)
@@ -210,7 +215,7 @@ func TestCheckpointWrongExperimentFailsLoudly(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	other := harness.ByID("S1")
-	if err := sweep.RunWorkerPoints(other, 0, 1, []int{0}, true, &buf); err != nil {
+	if err := sweep.RunWorkerPoints(other, []int{0}, true, &buf); err != nil {
 		t.Fatal(err)
 	}
 	_, byPoint, st, err := sweep.ParseShard(&buf)

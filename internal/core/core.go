@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -131,15 +132,83 @@ type Network struct {
 	obsLast  obsSnapshot // counter values at the last metrics flush
 }
 
-// NewNetwork builds an empty network from the config.
-func NewNetwork(cfg Config) *Network {
-	if cfg.Mode == "" {
-		cfg.Mode = "802.11b"
+// Validate reports whether NewNetwork can build cfg: Mode must name a
+// PHY, Fading a known model (with a numeric, non-negative Rician K), and
+// RateAdapt a known policy whose fixed:<idx> lies inside the mode's rate
+// table. It is the one parser of those three strings; NewNetwork panics
+// with its error.
+func (cfg Config) Validate() error {
+	_, err := cfg.resolve()
+	return err
+}
+
+// resolvedConfig holds the parsed string fields of a Config.
+type resolvedConfig struct {
+	mode    *phy.Mode
+	fading  string // "", "rayleigh" or "rician"
+	ricianK float64
+}
+
+func (cfg Config) resolve() (resolvedConfig, error) {
+	var r resolvedConfig
+	name := cfg.Mode
+	if name == "" {
+		name = "802.11b"
 	}
-	mode, err := phy.ModeByName(cfg.Mode)
+	mode, err := phy.ModeByName(name)
+	if err != nil {
+		return r, err
+	}
+	r.mode = mode
+	switch f := cfg.Fading; {
+	case f == "" || f == "none":
+	case f == "rayleigh":
+		r.fading = f
+	case f == "rician" || strings.HasPrefix(f, "rician:"):
+		r.fading, r.ricianK = "rician", 5
+		if k, ok := strings.CutPrefix(f, "rician:"); ok {
+			v, err := strconv.ParseFloat(k, 64)
+			if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+				return r, fmt.Errorf("core: bad Rician K in fading %q (want rician:<K>, K >= 0)", f)
+			}
+			r.ricianK = v
+		}
+	default:
+		return r, fmt.Errorf("core: unknown fading model %q (want none, rayleigh or rician:<K>)", f)
+	}
+	if _, _, err := parseRate(cfg.RateAdapt, mode); err != nil {
+		return r, err
+	}
+	return r, nil
+}
+
+// parseRate parses a rate-adaptation spec into its policy name and, for
+// "fixed", the pinned rate index (the top rate when none is given).
+func parseRate(spec string, mode *phy.Mode) (policy string, idx phy.RateIdx, err error) {
+	switch {
+	case spec == "" || spec == "fixed":
+		return "fixed", mode.MaxRate(), nil
+	case strings.HasPrefix(spec, "fixed:"):
+		i, err := strconv.Atoi(spec[len("fixed:"):])
+		if err != nil || i < 0 || i >= mode.NumRates() {
+			return "", 0, fmt.Errorf("core: bad rate spec %q (want fixed:<idx> with idx in 0..%d for %s)",
+				spec, mode.NumRates()-1, mode.Name)
+		}
+		return "fixed", phy.RateIdx(i), nil
+	case spec == "arf", spec == "aarf", spec == "samplerate", spec == "minstrel":
+		return spec, 0, nil
+	}
+	return "", 0, fmt.Errorf("core: unknown rate adaptation %q (want fixed[:idx], arf, aarf, samplerate or minstrel)", spec)
+}
+
+// NewNetwork builds an empty network from the config. It panics when
+// cfg.Validate fails.
+func NewNetwork(cfg Config) *Network {
+	rc, err := cfg.resolve()
 	if err != nil {
 		panic(err)
 	}
+	mode := rc.mode
 	if cfg.ShortPreamble {
 		mode.UseShortPreamble()
 	}
@@ -164,20 +233,11 @@ func NewNetwork(cfg Config) *Network {
 		shadow = spectrum.NewShadowing(root.Split("shadow"), cfg.ShadowSigmaDB)
 	}
 	var fast spectrum.Fading
-	switch {
-	case cfg.Fading == "" || cfg.Fading == "none":
-	case cfg.Fading == "rayleigh":
+	switch rc.fading {
+	case "rayleigh":
 		fast = spectrum.NewRayleigh(root.Split("fading"), cfg.FadingCoherence)
-	case strings.HasPrefix(cfg.Fading, "rician"):
-		kf := 5.0
-		if i := strings.IndexByte(cfg.Fading, ':'); i >= 0 {
-			if v, err := strconv.ParseFloat(cfg.Fading[i+1:], 64); err == nil {
-				kf = v
-			}
-		}
-		fast = spectrum.NewRician(root.Split("fading"), kf, cfg.FadingCoherence)
-	default:
-		panic(fmt.Sprintf("core: unknown fading model %q", cfg.Fading))
+	case "rician":
+		fast = spectrum.NewRician(root.Split("fading"), rc.ricianK, cfg.FadingCoherence)
 	}
 
 	m := medium.New(k, spectrum.NewModel(pl, shadow, fast), root)
@@ -220,25 +280,21 @@ func (n *Network) rateController(name, spec string) mac.RateController {
 	if spec == "" {
 		spec = n.cfg.RateAdapt
 	}
-	switch {
-	case spec == "" || spec == "fixed":
-		return rate.NewFixed(n.mode, n.mode.MaxRate())
-	case strings.HasPrefix(spec, "fixed:"):
-		idx, err := strconv.Atoi(spec[len("fixed:"):])
-		if err != nil {
-			panic(fmt.Sprintf("core: bad rate spec %q", spec))
-		}
-		return rate.NewFixed(n.mode, phy.RateIdx(idx))
-	case spec == "arf":
+	policy, idx, err := parseRate(spec, n.mode)
+	if err != nil {
+		panic(err)
+	}
+	switch policy {
+	case "arf":
 		return rate.NewARF(n.mode)
-	case spec == "aarf":
+	case "aarf":
 		return rate.NewAARF(n.mode)
-	case spec == "samplerate":
+	case "samplerate":
 		return rate.NewSampleRate(n.mode, n.root.Split("rc:"+name))
-	case spec == "minstrel":
+	case "minstrel":
 		return rate.NewMinstrel(n.mode, n.root.Split("rc:"+name))
 	}
-	panic(fmt.Sprintf("core: unknown rate adaptation %q", spec))
+	return rate.NewFixed(n.mode, idx)
 }
 
 // newStack builds radio+MAC for a node.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -189,5 +190,51 @@ func TestAddESSCorridor(t *testing.T) {
 	}
 	if fs := net.FlowStats(flow); fs == nil || fs.Received == 0 {
 		t.Fatal("uplink delivered nothing across the corridor")
+	}
+}
+
+// Validate is the one parser of Mode, Fading and RateAdapt: it accepts
+// every spelling NewNetwork builds and rejects the rest, and NewNetwork
+// panics with exactly its error.
+func TestConfigValidate(t *testing.T) {
+	good := []Config{
+		{},
+		{Mode: "802.11a", Fading: "none", RateAdapt: "fixed:7"},
+		{Mode: "g", Fading: "rayleigh", RateAdapt: "minstrel"},
+		{Fading: "rician", RateAdapt: "fixed:0"},
+		{Fading: "rician:0", RateAdapt: "samplerate"},
+		{Fading: "rician:7.5", RateAdapt: "aarf"},
+	}
+	for _, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
+	}
+	bad := []Config{
+		{Mode: "802.11q"},
+		{Fading: "weird"},
+		{Fading: "ricianx"},
+		{Fading: "rician:abc"},
+		{Fading: "rician:-1"},
+		{Fading: "rician:Inf"},
+		{RateAdapt: "bogus"},
+		{RateAdapt: "fixed:4"}, // 802.11b has four rates
+		{RateAdapt: "fixed:-1"},
+		{Mode: "802.11a", RateAdapt: "fixed:8"},
+	}
+	for _, cfg := range bad {
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%+v accepted", cfg)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("%+v: NewNetwork panicked with %v, want %v", cfg, r, err)
+				}
+			}()
+			NewNetwork(cfg)
+		}()
 	}
 }

@@ -77,7 +77,7 @@ func gridF1(quick bool) *Grid {
 	const payload = 1500
 	// The grid is heavily skewed: a 50-station point simulates an order of
 	// magnitude more events than a 1-station point, so schedulers need the
-	// hint to balance shards by work rather than point count.
+	// hint to balance agents by work rather than point count.
 	cost := func(i int) float64 { return CostByNodes(dur, ns[i]) }
 	return &Grid{Table: t, N: len(ns), Cost: cost, Point: single(func(i int) []string {
 		n := ns[i]

@@ -61,8 +61,8 @@ type Grid struct {
 	// expensive evaluating the point is compared to its siblings. The
 	// canonical derivation is simulated duration × node count (the two
 	// factors event volume scales with); experiments with skewed grids
-	// override it so the sweep schedulers (internal/sweep LPT binning,
-	// internal/cluster work stealing) can balance work instead of counts.
+	// override it so the internal/cluster scheduler (costliest chunk
+	// first) can balance work instead of counts.
 	// Nil (or a non-positive return) means uniform cost 1.
 	Cost func(i int) float64
 }
@@ -112,7 +112,7 @@ func (g *Grid) Run() *stats.Table {
 }
 
 // RunPoints evaluates an explicit subset of points on the worker pool and
-// returns each point's rows, indexed like pts. It is the shard evaluation
+// returns each point's rows, indexed like pts. It is the chunk evaluation
 // primitive used by sweep workers.
 func (g *Grid) RunPoints(pts []int) [][][]string {
 	groups := make([][][]string, len(pts))

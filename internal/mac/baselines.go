@@ -35,12 +35,17 @@ type Aloha struct {
 	queue    []*frame.Frame
 	receiver Receiver
 	Stats    BaselineStats
+
+	// Slot wakeup event name and callback, built once.
+	slotName string
+	pumpFn   func()
 }
 
 // NewAloha attaches a pure-ALOHA MAC to a radio, transmitting at the given
 // rate index.
 func NewAloha(k *sim.Kernel, radio *medium.Radio, rate phy.RateIdx) *Aloha {
-	a := &Aloha{k: k, radio: radio, rate: rate}
+	a := &Aloha{k: k, radio: radio, rate: rate, slotName: "aloha-slot:" + radio.Name()}
+	a.pumpFn = a.pump
 	radio.SetListener(a)
 	return a
 }
@@ -74,7 +79,7 @@ func (a *Aloha) pump() {
 		now := a.k.Now()
 		next := (int64(now) + int64(a.SlotDur) - 1) / int64(a.SlotDur) * int64(a.SlotDur)
 		if wait := sim.Time(next).Sub(now); wait > 0 {
-			a.k.Schedule(wait, "aloha-slot:"+a.radio.Name(), a.pump)
+			a.k.Schedule(wait, a.slotName, a.pumpFn)
 			return
 		}
 	}
@@ -98,22 +103,11 @@ func (a *Aloha) OnRxError(medium.RxInfo) { a.Stats.RxErrors++ }
 
 // OnRxFrame implements medium.Listener.
 func (a *Aloha) OnRxFrame(f *frame.Frame, info medium.RxInfo) {
-	if f.Addr1 != ownAddr(f, a.radio) && !f.Addr1.IsGroup() {
-		return
-	}
 	a.Stats.RxOK++
 	if a.receiver != nil {
 		a.receiver(f, info)
 	}
 }
-
-// ownAddr extracts the station address for filtering. Baselines carry no
-// station state, so the radio name is not an address; we accept any frame
-// whose Addr1 matches the radio's configured MAC, which callers encode by
-// construction: baselines are used in single-receiver topologies where
-// Addr1 is the sink address. To stay general we filter in the receiver
-// callback instead and accept everything here.
-func ownAddr(f *frame.Frame, _ *medium.Radio) frame.MACAddr { return f.Addr1 }
 
 // TDMA is an idealized, perfectly synchronized round-robin TDMA MAC: node i
 // of n owns slots i, i+n, i+2n, … of fixed duration. No contention, no
@@ -131,12 +125,18 @@ type TDMA struct {
 	receiver Receiver
 	Stats    BaselineStats
 	started  bool
+
+	// Slot wakeup event name and callback, built once.
+	slotName string
+	onSlotFn func()
 }
 
 // NewTDMA attaches a TDMA MAC owning slot index slot of nSlots, each
 // slotDur long (must cover one frame airtime plus guard).
 func NewTDMA(k *sim.Kernel, radio *medium.Radio, rate phy.RateIdx, slot, nSlots int, slotDur sim.Duration) *TDMA {
-	t := &TDMA{k: k, radio: radio, rate: rate, slot: slot, nSlots: nSlots, slotDur: slotDur}
+	t := &TDMA{k: k, radio: radio, rate: rate, slot: slot, nSlots: nSlots, slotDur: slotDur,
+		slotName: "tdma-slot:" + radio.Name()}
+	t.onSlotFn = t.onSlot
 	radio.SetListener(t)
 	return t
 }
@@ -170,7 +170,7 @@ func (t *TDMA) armNext() {
 	for mine <= now {
 		mine += frameLen
 	}
-	t.k.ScheduleAt(sim.Time(mine), "tdma-slot:"+t.radio.Name(), t.onSlot)
+	t.k.ScheduleAt(sim.Time(mine), t.slotName, t.onSlotFn)
 }
 
 func (t *TDMA) onSlot() {

@@ -206,7 +206,7 @@ func OpenCheckpoint(path, exp string, quick bool, n int) (cp *Checkpoint, done m
 // the case the loader truncates.
 func (cp *Checkpoint) AppendChunk(byPoint map[int][][]string, st ShardStats) error {
 	var buf bytes.Buffer
-	if err := WriteShard(&buf, Header{Exp: cp.exp, Shard: 0, Shards: 1, Quick: cp.quick}, byPoint, st); err != nil {
+	if err := WriteShard(&buf, Header{Exp: cp.exp, Quick: cp.quick}, byPoint, st); err != nil {
 		return fmt.Errorf("sweep: checkpoint: %w", err)
 	}
 	cp.mu.Lock()

@@ -1,24 +1,26 @@
-// Package sweep is the control plane for full-fidelity evaluation sweeps:
-// it decomposes any harness.Experiment into deterministic shards (subsets
-// of the experiment's parameter grid), fans the shards out to worker
-// subprocesses — or to in-process workers when no spawner is configured —
-// and merges the shard outputs into a table byte-identical to the one the
-// sequential run produces.
+// Package sweep is the data plane shared by every multi-process sweep: the
+// wire format one chunk of evaluated grid points travels in, the worker
+// side that produces it (RunWorkerPoints), the checkpoint journal built
+// from it, and the merge that folds chunks back into a table
+// byte-identical to the one the sequential run produces. Scheduling —
+// which process evaluates which points, failure detection, re-dispatch —
+// is internal/cluster's job; `experiments -shards N` is N spawned agents
+// behind its coordinator.
 //
-// The split keeps sweep orchestration (this package) separate from
+// The split keeps sweep plumbing (this package) separate from
 // per-scenario simulation (internal/harness and below): a worker evaluates
-// its owned points with a plain harness.Grid and never sees the other
-// shards, so full-mode sweeps scale across processes and machines instead
+// its points with a plain harness.Grid and never sees the rest of the
+// grid, so full-mode sweeps scale across processes and machines instead
 // of being bounded by one Go runtime's scheduler and garbage collector.
 //
-// # Shard protocol
+// # Wire format
 //
-// A worker is any process that writes the wire format of WriteShard to its
-// stdout — cmd/experiments and cmd/wlanbench both expose it behind
-// `-shard i/N -experiment ID`. The format is line-oriented CSV with
-// `#`-prefixed framing so a shard dump is also a readable artifact:
+// A worker writes the format of WriteShard; cluster agents answer every
+// chunk request with it. It is line-oriented CSV with `#`-prefixed framing
+// so a chunk dump is also a readable artifact (the fixed shard=0/1 label
+// is kept so older journals still parse):
 //
-//	# sweep v1 exp=F1 shard=0/2 quick=true
+//	# sweep v1 exp=F1 shard=0/1 quick=true
 //	# point 0
 //	1,0.85,0.80,0.84,0.79
 //	# point 2
@@ -48,68 +50,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Points returns the point indices shard s of n owns out of total points:
-// the deterministic round-robin assignment {i : i mod n == s}. It is valid
-// for any n ≥ 1, including n greater than total (trailing shards own
-// nothing). Round-robin balances point counts, not costs; orchestrators
-// that know the grid's cost hints use AssignLPT instead and tell workers
-// their points explicitly.
-func Points(shard, shards, total int) []int {
-	var pts []int
-	for i := shard; i < total; i += shards {
-		pts = append(pts, i)
-	}
-	return pts
-}
-
-// AssignLPT partitions points into shards bins by longest-processing-time-
-// first scheduling: points are placed in descending cost order, each into
-// the currently least-loaded bin. LPT's makespan is within 4/3 of optimal,
-// which in practice keeps a skewed grid's slowest shard close to the mean
-// instead of round-robin's worst case (all the expensive points landing on
-// one shard). The assignment is deterministic — ties break on lower point
-// index and lower bin index — and each bin is returned in ascending point
-// order. Every point appears in exactly one bin (pinned by the partition
-// property test).
-func AssignLPT(costs []float64, shards int) [][]int {
-	if shards < 1 {
-		shards = 1
-	}
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	bins := make([][]int, shards)
-	loads := make([]float64, shards)
-	for _, p := range order {
-		best := 0
-		for b := 1; b < shards; b++ {
-			if loads[b] < loads[best] {
-				best = b
-			}
-		}
-		bins[best] = append(bins[best], p)
-		loads[best] += costs[p]
-	}
-	for _, bin := range bins {
-		sort.Ints(bin)
-	}
-	return bins
-}
-
-// Header identifies one shard's output.
+// Header identifies one chunk's output.
 type Header struct {
-	Exp    string
-	Shard  int
-	Shards int
-	Quick  bool
+	Exp   string
+	Quick bool
 }
 
-// ShardStats is a worker's self-measured cost, rolled up by the parent
-// into per-experiment reports (cmd/wlanbench).
+// ShardStats is a worker's self-measured cost for one chunk, rolled up by
+// the cluster coordinator into per-agent stats.
 type ShardStats struct {
-	Shard  int    `json:"shard"`
 	Points int    `json:"points"`
 	Rows   int    `json:"rows"`
 	WallNs int64  `json:"wall_ns"`
@@ -124,26 +73,11 @@ type ShardStats struct {
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
-// RunWorker evaluates the points of e owned by shard under the round-robin
-// assignment and writes the shard protocol to w. Orchestrators that assign
-// points explicitly (LPT binning, cluster work stealing) call
-// RunWorkerPoints instead; both cmd/experiments and cmd/wlanbench reach one
-// of the two from their -shard modes.
-func RunWorker(e *harness.Experiment, shard, shards int, quick bool, w io.Writer) error {
-	if shards < 1 || shard < 0 || shard >= shards {
-		return fmt.Errorf("sweep: invalid shard %d/%d", shard, shards)
-	}
-	return RunWorkerPoints(e, shard, shards, Points(shard, shards, e.Grid(quick).N), quick, w)
-}
-
 // RunWorkerPoints evaluates an explicit point subset of e and writes the
-// shard protocol to w; shard/shards only label the output header. It is the
-// whole worker side of the engine — the subprocess -shard modes, the LPT
-// static assignment and the cluster agent all funnel through it.
-func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick bool, w io.Writer) error {
-	if shards < 1 || shard < 0 || shard >= shards {
-		return fmt.Errorf("sweep: invalid shard %d/%d", shard, shards)
-	}
+// wire format to w under the header shard=0/1. It is the whole worker side
+// of the engine: remote cluster agents and the coordinator's local agent
+// both funnel through it.
+func RunWorkerPoints(e *harness.Experiment, pts []int, quick bool, w io.Writer) error {
 	g := e.Grid(quick)
 	seen := make(map[int]bool, len(pts))
 	for _, p := range pts {
@@ -151,7 +85,7 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 			return fmt.Errorf("sweep: point %d outside grid of %d", p, g.N)
 		}
 		if seen[p] {
-			return fmt.Errorf("sweep: point %d assigned twice to shard %d/%d", p, shard, shards)
+			return fmt.Errorf("sweep: point %d assigned twice", p)
 		}
 		seen[p] = true
 	}
@@ -170,7 +104,6 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 	runtime.ReadMemStats(&msAfter)
 
 	st := ShardStats{
-		Shard:  shard,
 		Points: len(pts),
 		WallNs: wall.Nanoseconds(),
 		Allocs: msAfter.Mallocs - msBefore.Mallocs,
@@ -188,7 +121,41 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 	for i, p := range pts {
 		byPoint[p] = groups[i]
 	}
-	return WriteShard(w, Header{Exp: e.ID, Shard: shard, Shards: shards, Quick: quick}, byPoint, st)
+	return WriteShard(w, Header{Exp: e.ID, Quick: quick}, byPoint, st)
+}
+
+// FormatPoints encodes a point list for the cluster run request. The empty
+// list encodes as "none" so the field is never blank.
+func FormatPoints(pts []int) string {
+	if len(pts) == 0 {
+		return "none"
+	}
+	var b strings.Builder
+	for i, p := range pts {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", p)
+	}
+	return b.String()
+}
+
+// ParsePoints decodes a FormatPoints value. It does not validate against a
+// grid — RunWorkerPoints re-checks range and uniqueness.
+func ParsePoints(spec string) ([]int, error) {
+	if spec == "none" {
+		return []int{}, nil
+	}
+	parts := strings.Split(spec, ",")
+	pts := make([]int, 0, len(parts))
+	for _, s := range parts {
+		p, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: bad point list %q: %v", spec, err)
+		}
+		pts = append(pts, p)
+	}
+	return pts, nil
 }
 
 // WriteShard encodes one shard's row groups in the wire format. Cells must
@@ -197,7 +164,7 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 // than corrupt the merged table.
 func WriteShard(w io.Writer, h Header, byPoint map[int][][]string, st ShardStats) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# sweep v1 exp=%s shard=%d/%d quick=%t\n", h.Exp, h.Shard, h.Shards, h.Quick)
+	fmt.Fprintf(bw, "# sweep v1 exp=%s shard=0/1 quick=%t\n", h.Exp, h.Quick)
 	pts := make([]int, 0, len(byPoint))
 	for p := range byPoint {
 		pts = append(pts, p)
@@ -272,8 +239,7 @@ func ParseShard(r io.Reader) (Header, map[int][][]string, ShardStats, error) {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "# sweep v1 "):
-			if _, err := fmt.Sscanf(line, "# sweep v1 exp=%s shard=%d/%d quick=%t",
-				&h.Exp, &h.Shard, &h.Shards, &h.Quick); err != nil {
+			if _, err := fmt.Sscanf(line, "# sweep v1 exp=%s shard=0/1 quick=%t", &h.Exp, &h.Quick); err != nil {
 				return h, nil, st, fmt.Errorf("sweep: bad header %q: %v", line, err)
 			}
 			started = true
@@ -285,7 +251,7 @@ func ParseShard(r io.Reader) (Header, map[int][][]string, ShardStats, error) {
 				return h, nil, st, fmt.Errorf("sweep: bad point marker %q: %v", line, err)
 			}
 			if _, dup := byPoint[point]; dup {
-				return h, nil, st, fmt.Errorf("sweep: duplicate point %d in shard %d/%d", point, h.Shard, h.Shards)
+				return h, nil, st, fmt.Errorf("sweep: duplicate point %d in %s chunk", point, h.Exp)
 			}
 			byPoint[point] = nil
 		case strings.HasPrefix(line, "# stats "):
@@ -293,7 +259,6 @@ func ParseShard(r io.Reader) (Header, map[int][][]string, ShardStats, error) {
 				&st.Points, &st.Rows, &st.WallNs, &st.Allocs, &st.Bytes, &st.Events); err != nil {
 				return h, nil, st, fmt.Errorf("sweep: bad stats line %q: %v", line, err)
 			}
-			st.Shard = h.Shard
 		case strings.HasPrefix(line, "# metric "):
 			rest := line[len("# metric "):]
 			i := strings.LastIndexByte(rest, ' ')
@@ -333,8 +298,8 @@ func ParseShard(r io.Reader) (Header, map[int][][]string, ShardStats, error) {
 		rows += len(g)
 	}
 	if len(byPoint) != st.Points || rows != st.Rows {
-		return h, nil, st, fmt.Errorf("sweep: shard %d/%d integrity: got %d points/%d rows, trailer says %d/%d",
-			h.Shard, h.Shards, len(byPoint), rows, st.Points, st.Rows)
+		return h, nil, st, fmt.Errorf("sweep: %s chunk integrity: got %d points/%d rows, trailer says %d/%d",
+			h.Exp, len(byPoint), rows, st.Points, st.Rows)
 	}
 	return h, byPoint, st, nil
 }
