@@ -20,10 +20,13 @@
 // tracked trajectory):
 //
 //   - internal/sim pools Event objects on a free list behind
-//     generation-checked Timer handles, keeps the queue as an inlined
-//     4-ary heap specialized to *Event, and reaps cancelled events lazily
-//     in bulk. ScheduleArg gives hot callers closure-free scheduling.
-//   - internal/medium pools transmissions and arrivals, caches per-link
+//     generation-checked Timer handles, keeps the queue as a
+//     struct-of-arrays 4-ary heap of (at, seq, slot) keys, and reaps
+//     cancelled events lazily in bulk. ScheduleArg gives hot callers
+//     closure-free scheduling, and ScheduleRun queues a sorted run of
+//     callbacks behind a single heap key.
+//   - internal/medium pools transmissions and arrivals, queues each
+//     transmission's arrival edges as two sorted runs, caches per-link
 //     gain and propagation delay for static radio pairs (invalidated on
 //     movement), prunes fan-out through per-radio neighbor lists, reuses
 //     wire buffers, decodes each transmission once per fan-out, and

@@ -20,11 +20,27 @@
 // conservative superset of the exact per-receiver power filter, and
 // candidates are walked in ascending radio-id order, so delivered arrivals
 // and event order are bit-identical to the all-pairs walk.
+//
+// # Arrival runs
+//
+// A transmission delivered to n receivers puts two keys in the kernel's
+// event heap, not 2n events: its arrival leading edges go to the kernel as
+// one sorted run (sim.Kernel.ScheduleRun) and its trailing edges as
+// another. The medium reserves 2n sequence numbers and gives the i-th
+// delivered arrival, in candidate order, base+2i for its start and
+// base+2i+1 for its end, the numbers per-arrival scheduling would take,
+// so every tie with another event breaks as before. The starts are sorted
+// by (arrival time, seq); each end is its start plus the common airtime,
+// so the ends come out in the same order. Arrivals are never cancelled: an
+// arrival invalidated by a channel switch is marked stale and ignored when
+// its edges fire.
 package medium
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/frame"
 	"repro/internal/geom"
@@ -154,6 +170,7 @@ type Medium struct {
 	// bumping it orphans every cached entry touching i in O(1).
 	txPool      []*transmission
 	arrPool     []*arrival
+	starts      []sim.RunEntry // transmit scratch: one transmission's arrival runs
 	framePool   []*frame.Frame
 	links       []linkCacheEntry
 	linkGen     []uint32
@@ -260,23 +277,21 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 		cfg.Listener = NopListener{}
 	}
 	r := &Radio{
-		medium:      m,
-		id:          len(m.radios),
-		name:        cfg.Name,
-		mode:        cfg.Mode,
-		channel:     cfg.Channel,
-		mobility:    cfg.Mobility,
-		txPower:     cfg.TxPower,
-		noiseFloor:  cfg.Mode.NoiseFloorDBm(cfg.NoiseFigure),
-		csThresh:    cfg.CSThreshold,
-		csThreshMW:  cfg.CSThreshold.MilliWatt(),
-		capture:     cfg.CaptureEnabled,
-		capMargin:   cfg.CaptureMargin,
-		listener:    cfg.Listener,
-		rng:         m.rng.Split("radio:" + cfg.Name),
-		nameRxStart: "rx-start:" + cfg.Name,
-		nameRxEnd:   "rx-end:" + cfg.Name,
-		nameTxDone:  "tx-done:" + cfg.Name,
+		medium:     m,
+		id:         len(m.radios),
+		name:       cfg.Name,
+		mode:       cfg.Mode,
+		channel:    cfg.Channel,
+		mobility:   cfg.Mobility,
+		txPower:    cfg.TxPower,
+		noiseFloor: cfg.Mode.NoiseFloorDBm(cfg.NoiseFigure),
+		csThresh:   cfg.CSThreshold,
+		csThreshMW: cfg.CSThreshold.MilliWatt(),
+		capture:    cfg.CaptureEnabled,
+		capMargin:  cfg.CaptureMargin,
+		listener:   cfg.Listener,
+		rng:        m.rng.Split("radio:" + cfg.Name),
+		nameTxDone: "tx-done:" + cfg.Name,
 	}
 	r.noiseFloorMW = linearOrZero(r.noiseFloor)
 	_, r.static = cfg.Mobility.(geom.Static)
@@ -410,10 +425,18 @@ func (m *Medium) releaseArrival(a *arrival) {
 	}
 }
 
-// Static dispatch targets for ScheduleArg: package-level funcs carry the
-// arrival pointer through the kernel without a closure allocation.
+// Static dispatch targets for the arrival runs: package-level funcs carry
+// the arrival pointer through the kernel without a closure allocation.
 func arrivalStartFn(x any) { a := x.(*arrival); a.rx.arrivalStart(a) }
 func arrivalEndFn(x any)   { a := x.(*arrival); a.rx.arrivalEnd(a) }
+
+// runEntryCmp orders run entries by (at, seq), the kernel's run order.
+func runEntryCmp(a, b sim.RunEntry) int {
+	if a.At != b.At {
+		return cmp.Compare(a.At, b.At)
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
 
 // Radios returns all registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
@@ -492,6 +515,7 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 		cands = m.neighborCandidates(r, t)
 	}
 	m.FanoutCandidates += uint64(len(cands))
+	starts := m.starts[:0]
 	for _, rx := range cands {
 		if rx == r || rx.channel != r.channel {
 			continue
@@ -515,13 +539,35 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 		arr.powerMW = powerMW
 		t.refs++
 		m.FanoutDelivered++
-		m.kernel.ScheduleArg(delay, rx.nameRxStart, arrivalStartFn, arr)
-		m.kernel.ScheduleArg(delay+airtime, rx.nameRxEnd, arrivalEndFn, arr)
+		starts = append(starts, sim.RunEntry{At: t.start.Add(delay), Arg: arr})
 	}
+	m.starts = starts
 	if t.refs == 0 {
 		m.putTransmission(t)
+	} else {
+		m.scheduleArrivals(starts, airtime)
 	}
 	return airtime
+}
+
+// scheduleArrivals queues a transmission's delivered arrivals, in candidate
+// order, as a run of leading edges and a run of trailing edges, numbered as
+// the package doc's Arrival runs section describes.
+//
+//wlan:hotpath
+func (m *Medium) scheduleArrivals(starts []sim.RunEntry, airtime sim.Duration) {
+	base := m.kernel.ReserveSeqs(2 * len(starts))
+	for i := range starts {
+		starts[i].Seq = base + 2*uint64(i)
+	}
+	slices.SortFunc(starts, runEntryCmp)
+	m.kernel.ScheduleRun("rx-start", arrivalStartFn, starts)
+	// The kernel copied the starts; turn them into the ends in place.
+	for i := range starts {
+		starts[i].At = starts[i].At.Add(airtime)
+		starts[i].Seq++
+	}
+	m.kernel.ScheduleRun("rx-end", arrivalEndFn, starts)
 }
 
 func (m *Medium) String() string {

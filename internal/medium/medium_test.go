@@ -359,3 +359,44 @@ func TestRSSIOrderedByDistance(t *testing.T) {
 		t.Errorf("near RSSI %v not above far RSSI %v", recNear.infos[0].RSSI, recFar.infos[0].RSSI)
 	}
 }
+
+// The arrival runs must take the sequence numbers per-arrival scheduling
+// took: start base+2i and end base+2i+1 for the i-th delivered arrival in
+// candidate order. They decide one tie only: the trailing edge at a near
+// receiver landing on the same nanosecond as the leading edge at a far
+// one. Here the near receiver comes first in candidate order, so its end
+// must fire before the far receiver's start.
+func TestArrivalRunSeqsBreakTiesInCandidateOrder(t *testing.T) {
+	k, m := testbed(11)
+	m.DetectionMarginDB = 200 // keep the far receiver's arrival
+	mode := phy.Mode80211b()
+	tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 15})
+	f := dataFrame(20)
+	airtime := mode.Airtime(3, len(f.AppendWire(nil)))
+	delay := func(d float64) sim.Duration { return sim.Duration(d / units.SpeedOfLight * float64(sim.Second)) }
+	near := 10.0
+	// The far receiver's delay is the near one's plus the airtime, to the
+	// nanosecond (the medium truncates delays to whole nanoseconds).
+	far := (float64(delay(near)+airtime) + 0.5) / float64(sim.Second) * units.SpeedOfLight
+	if delay(far) != delay(near)+airtime {
+		t.Fatalf("geometry: far delay %v, want %v", delay(far), delay(near)+airtime)
+	}
+	m.AddRadio(RadioConfig{Name: "near", Mode: mode, Mobility: geom.Static{P: geom.Pt(near, 0)}, TxPower: 15})
+	m.AddRadio(RadioConfig{Name: "far", Mode: mode, Mobility: geom.Static{P: geom.Pt(far, 0)}, TxPower: 15})
+
+	tie := sim.Time(0).Add(delay(near) + airtime)
+	var names []string
+	k.OnEvent = func(at sim.Time, name string) {
+		if at == tie {
+			names = append(names, name)
+		}
+	}
+	k.Schedule(0, "tx", func() { tx.Transmit(f, 3) })
+	k.Run()
+	if m.FanoutDelivered != 2 {
+		t.Fatalf("delivered %d arrivals, want 2", m.FanoutDelivered)
+	}
+	if len(names) != 2 || names[0] != "rx-end" || names[1] != "rx-start" {
+		t.Fatalf("events at the tie %v = %v, want [rx-end rx-start]", tie, names)
+	}
+}

@@ -164,11 +164,9 @@ type Radio struct {
 
 	// Fast-path state: static mobility (gain cacheable), event names built
 	// once at AddRadio, and the tx-done callback allocated once.
-	static      bool
-	nameRxStart string
-	nameRxEnd   string
-	nameTxDone  string
-	txDoneFn    func()
+	static     bool
+	nameTxDone string
+	txDoneFn   func()
 	// chunkCache memoizes the PHY error model: static topologies hit the
 	// same (mode, rate, SINR, bits) tuples on every frame.
 	chunkCache [chunkCacheSize]chunkCacheEntry

@@ -16,9 +16,9 @@ var cohortBounds = []uint64{1, 2, 4, 8, 16, 32, 64}
 // deltas here at run-chunk boundaries. All values are sim-time quantities.
 type SimMetrics struct {
 	Events        *Counter   // events executed
-	CohortSize    *Histogram // same-timestamp cohort sizes from the drain path
+	CohortSize    *Histogram // cohort size per pop; always 1 since the kernel pops singly
 	NowNs         *Gauge     // sim clock, nanoseconds
-	HeapDepth     *Gauge     // pending events in the SoA heap
+	HeapDepth     *Gauge     // keys in the SoA heap: queued events and sorted runs
 	HeapHighWater *Gauge     // max heap depth seen
 	PoolEvents    *Gauge     // pooled event slots allocated
 	PoolFree      *Gauge     // pooled event slots on the free list
@@ -27,9 +27,9 @@ type SimMetrics struct {
 // Sim is the kernel bundle on the Default registry.
 var Sim = SimMetrics{
 	Events:        Default.Counter("wlan_sim_events_total", "Simulation events executed by the kernel."),
-	CohortSize:    Default.Histogram("wlan_sim_cohort_size", "Size of same-timestamp event cohorts drained per heap repair.", cohortBounds),
+	CohortSize:    Default.Histogram("wlan_sim_cohort_size", "Events executed per heap pop; the kernel pops one event at a time, so every observation is 1.", cohortBounds),
 	NowNs:         Default.Gauge("wlan_sim_now_ns", "Current simulation clock in virtual nanoseconds."),
-	HeapDepth:     Default.Gauge("wlan_sim_heap_depth", "Events pending in the kernel's SoA heap."),
+	HeapDepth:     Default.Gauge("wlan_sim_heap_depth", "Keys in the kernel's SoA heap: one per queued event and one per queued sorted run."),
 	HeapHighWater: Default.Gauge("wlan_sim_heap_high_water", "Maximum heap depth observed since process start."),
 	PoolEvents:    Default.Gauge("wlan_sim_event_pool", "Event slots allocated in the kernel's pool."),
 	PoolFree:      Default.Gauge("wlan_sim_event_pool_free", "Event slots currently on the kernel's free list."),

@@ -62,6 +62,44 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 	}
 }
 
+// Steady-state sorted runs must not allocate: entries are copied into a
+// pooled buffer of the run's capacity class and the run slot is recycled,
+// so only the first runs of each size grow the pools.
+func TestSortedRunZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	type payload struct{ hits int }
+	p := &payload{}
+	fn := func(x any) { x.(*payload).hits++ }
+	entries := make([]RunEntry, 0, 64)
+	schedule := func(n int) {
+		base := k.ReserveSeqs(n)
+		entries = entries[:0]
+		for i := 0; i < n; i++ {
+			entries = append(entries, RunEntry{At: k.Now().Add(Duration(i) * Microsecond), Seq: base + uint64(i), Arg: p})
+		}
+		k.ScheduleRun("run", fn, entries)
+	}
+	// Warm up every capacity class used below, with several runs queued
+	// at once so the slot and buffer pools hold more than one of each.
+	for n := 1; n <= 64; n++ {
+		schedule(n)
+	}
+	k.Run()
+
+	allocs := testing.AllocsPerRun(1000, func() {
+		schedule(40)
+		schedule(3)
+		k.ScheduleArg(5*Microsecond, "plain", fn, p)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ScheduleRun+Run allocates %v/op, want 0", allocs)
+	}
+	if p.hits < 1000*44 {
+		t.Fatalf("run callbacks ran %d times, want >= %d", p.hits, 1000*44)
+	}
+}
+
 // Cancelled events must not accumulate in the queue: once they exceed half
 // the queue they are reaped, and Pending never counts them.
 func TestCancelledEventsReaped(t *testing.T) {

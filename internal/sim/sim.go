@@ -13,27 +13,31 @@
 // generation-checked Timer handles, so a recycled Event can never be
 // cancelled by a stale handle.
 //
-// # Cohort drain ordering contract
+// # Ordering contract
 //
-// The run loop drains same-timestamp event cohorts in batches: when the
-// earliest pending timestamp is T, every event queued at T is extracted
-// from the heap in one fix-up pass and executed in (at, seq) order — i.e.
-// schedule order, exactly the order the one-pop-per-event loop delivered.
-// The clock never advances past T until the cohort (including any events a
-// cohort callback schedules at T, which join with later seq) is fully
-// delivered. Cancelling an already-drained cohort event from within an
-// earlier cohort event still suppresses it, and a cancel-then-reschedule
-// at the same tick delivers exactly once (the rescheduled event). Timer
-// handles observe drained-but-unexecuted events as still Scheduled, again
-// matching the per-pop loop, where the window between pop and execution
-// was unobservable.
+// Events execute in strict (at, seq) order: by time, and at equal times by
+// sequence number, which is schedule order. The run loop pops one key at a
+// time from the heap root. A callback that schedules at the current time
+// queues behind every event already queued for it, and a cancel takes
+// effect whenever it happens before the event is popped.
+//
+// # Sorted runs
+//
+// A caller with many callbacks for one function — the medium's per-receiver
+// arrival edges — can queue them as one sorted run (ScheduleRun) instead of
+// one Event each. It reserves their sequence numbers up front (ReserveSeqs)
+// and hands the kernel (at, seq, arg) entries sorted by (at, seq). The heap
+// holds only the run's next key; popping it executes that entry, puts the
+// run's following key at the root and sifts it down once. Run entries
+// interleave with plain events exactly as the same entries scheduled one by
+// one with those sequence numbers would, so a run changes what the queue
+// stores, never the order of delivery. Runs cannot be cancelled.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -87,7 +91,7 @@ type Event struct {
 	at     Time
 	seq    uint64 // tie-break: schedule order
 	slot   int32  // permanent index into Kernel.slots; heap keys carry it
-	loc    int8   // where the event lives: free list, heap, or cohort
+	queued bool   // in the heap; false on the free list or once popped
 	gen    uint32 // bumped on each recycle; Timer handles carry a copy
 	fn     func()
 	argFn  func(any) // static-dispatch alternative to fn; arg carries state
@@ -95,14 +99,6 @@ type Event struct {
 	name   string
 	cancel bool
 }
-
-// Event locations. The heap does not track exact positions — sifts move
-// only keys — so the kernel records which structure owns each event.
-const (
-	locFree   int8 = iota // on the free list, or executed and detached
-	locHeap               // queued in the heap
-	locCohort             // drained into the current same-timestamp cohort
-)
 
 // Timer is a cancellable handle to a scheduled event. The zero value is an
 // inert handle: Scheduled reports false and Cancel is a no-op. Handles stay
@@ -122,22 +118,38 @@ func (t Timer) At() Time {
 	return t.e.at
 }
 
-// Scheduled reports whether the event is still pending. An event drained
-// into the current cohort but not yet executed is still pending: the
-// per-pop loop this kernel replaced had no observable window between pop
-// and execution, so the cohort window must not be observable either.
+// Scheduled reports whether the event is still pending.
 func (t Timer) Scheduled() bool {
-	return t.e != nil && t.e.gen == t.gen && t.e.loc != locFree && !t.e.cancel
+	return t.e != nil && t.e.gen == t.gen && t.e.queued && !t.e.cancel
 }
 
 // heapKey is one struct-of-arrays heap element: the (at, seq) ordering key
-// plus the slot of its payload Event. Sifts move only these flat 24-byte
-// keys — no pointers, so no GC write barriers, and a 4-child comparison
-// reads at most two contiguous cache lines instead of chasing four *Event.
+// plus the slot of its payload Event, or ^id for a sorted run's head. Sifts
+// move only these flat 24-byte keys — no pointers, so no GC write barriers,
+// and a 4-child comparison reads at most two contiguous cache lines instead
+// of chasing four *Event.
 type heapKey struct {
 	at   Time
 	seq  uint64
 	slot int32
+}
+
+// RunEntry is one event of a sorted run (see ScheduleRun): when it fires,
+// the sequence number the caller reserved for it, and its callback argument.
+type RunEntry struct {
+	At  Time
+	Seq uint64
+	Arg any
+}
+
+// run is one queued sorted run. The heap holds a single key for it, its
+// next entry's (at, seq), whose slot is the bitwise complement of the run's
+// id, so run heads and Event slots share one key type.
+type run struct {
+	buf  []RunEntry // pooled; capacity is a power of two
+	pos  int        // next entry to execute
+	fn   func(any)
+	name string
 }
 
 // keyLess orders heap keys by (time, schedule order).
@@ -158,30 +170,22 @@ type Kernel struct {
 	// slots is the payload side of the struct-of-arrays heap: every Event
 	// this kernel ever created, at its permanent slot index. Events never
 	// move, so heap keys can name them with an int32.
-	slots []*Event
-	free  []int32 // recycled events, by slot id — no pointers, no barriers
-	seq   uint64
-	// cohort is the drained batch of same-timestamp heap keys, sorted by
-	// seq; cohortPos is the next key to execute. cohortCancelled counts
-	// unexecuted cohort events cancelled after the drain.
-	cohort          []heapKey
-	cohortPos       int
-	cohortCancelled int
-	crown           []int32 // scratch: heap indices of the cohort crown
-	cancelled       int     // cancelled events still sitting in the heap
-	stopped         bool
+	slots     []*Event
+	free      []int32 // recycled events, by slot id — no pointers, no barriers
+	seq       uint64
+	cancelled int // cancelled events still sitting in the heap
+	stopped   bool
+	// Sorted runs: run slots by id, free run ids by log2 of their buffer
+	// capacity, and runExtra, the queued run entries behind each run's
+	// heap-resident head.
+	runs     []run
+	freeRuns [32][]int32
+	runExtra int
 	// Hooks for instrumentation; may be nil.
 	OnEvent func(at Time, name string)
 	// processed counts events executed, for diagnostics and tests.
 	processed uint64
-	// Cohort statistics from the drain path, in power-of-two size buckets:
-	// cohortSizes[i] counts cohorts of size in (2^(i-1), 2^i], the last
-	// bucket catching everything larger; cohortEvents sums the sizes.
-	// Plain fields — internal/core flushes them into the metrics registry
-	// at run-chunk boundaries, so the drain path never pays an atomic.
-	cohortSizes  [8]uint64
-	cohortEvents uint64
-	heapHW       int // max heap depth observed, for diagnostics
+	heapHW    int // max heap depth observed, for diagnostics
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
@@ -196,24 +200,28 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live (non-cancelled) events in the queue,
-// including drained cohort events that have not executed yet.
+// counting every unexecuted run entry.
 func (k *Kernel) Pending() int {
-	return len(k.heap) - k.cancelled + (len(k.cohort) - k.cohortPos - k.cohortCancelled)
+	return len(k.heap) - k.cancelled + k.runExtra
 }
 
-// CohortSizes returns the drain-path cohort statistics: per-bucket cohort
-// counts (bucket i holds cohorts of size in (2^(i-1), 2^i], the last bucket
-// unbounded) and the total number of events delivered through cohorts.
-// internal/core diffs successive snapshots to feed the metrics registry.
+// CohortSizes returns same-timestamp cohort statistics in power-of-two size
+// buckets (bucket i holds cohorts of size in (2^(i-1), 2^i], the last
+// bucket unbounded) and the number of events delivered through cohorts.
+// The kernel pops one event at a time, so every executed event counts as a
+// cohort of size 1. internal/core diffs successive snapshots to feed the
+// metrics registry.
 func (k *Kernel) CohortSizes() (buckets [8]uint64, events uint64) {
-	return k.cohortSizes, k.cohortEvents
+	buckets[0] = k.processed
+	return buckets, k.processed
 }
 
-// HeapDepth returns the number of heap-resident events right now
-// (including cancelled ones not yet reaped).
+// HeapDepth returns the number of heap keys right now: one per queued
+// event (including cancelled ones not yet reaped) and one per queued run.
 func (k *Kernel) HeapDepth() int { return len(k.heap) }
 
-// HeapHighWater returns the maximum heap depth observed so far.
+// HeapHighWater returns the maximum heap depth observed so far, counting a
+// queued run as one key.
 func (k *Kernel) HeapHighWater() int { return k.heapHW }
 
 // PoolSize returns the number of Event slots this kernel has ever
@@ -302,7 +310,7 @@ func (k *Kernel) getEvent() *Event {
 func (k *Kernel) putEvent(e *Event) {
 	e.gen++
 	e.cancel = false
-	e.loc = locFree
+	e.queued = false
 	k.free = append(k.free, e.slot)
 }
 
@@ -320,7 +328,7 @@ func (k *Kernel) scheduleAt(at Time, name string, fn func(), argFn func(any), ar
 	e.argFn = argFn
 	e.arg = arg
 	e.name = name
-	e.loc = locHeap
+	e.queued = true
 	k.seq++
 	k.heap = append(k.heap, heapKey{at: at, seq: e.seq, slot: e.slot})
 	if len(k.heap) > k.heapHW {
@@ -360,26 +368,106 @@ func (k *Kernel) ScheduleArgAt(at Time, name string, fn func(any), arg any) Time
 	return k.scheduleAt(at, name, nil, fn, arg)
 }
 
+// ReserveSeqs reserves n consecutive sequence numbers for run entries and
+// returns the first. Events scheduled later get later numbers, so a
+// reserved number breaks timestamp ties exactly as an event scheduled at
+// the moment of the reservation would.
+func (k *Kernel) ReserveSeqs(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: negative sequence reservation %d", n))
+	}
+	base := k.seq
+	k.seq += uint64(n)
+	return base
+}
+
+// ScheduleRun queues entries as one sorted run: fn(e.Arg) fires for each
+// entry e at e.At, ordered against every other event by (e.At, e.Seq)
+// exactly as if each entry had been scheduled on its own. Entries must be
+// sorted by (At, Seq), carry sequence numbers from ReserveSeqs, and start
+// no earlier than now; anything else panics. The kernel copies entries into
+// a pooled buffer, so the caller may reuse the slice at once. Run entries
+// have no Timer handles and cannot be cancelled, and OnEvent reports every
+// entry under the run's name. The heap holds one key per run however long
+// it is, and steady-state runs are zero-alloc.
+//
+//wlan:hotpath
+func (k *Kernel) ScheduleRun(name string, fn func(any), entries []RunEntry) {
+	n := len(entries)
+	if n == 0 {
+		return
+	}
+	k.checkRun(name, entries)
+	id := k.getRun(n)
+	r := &k.runs[id]
+	r.buf = append(r.buf[:0], entries...)
+	r.pos = 0
+	r.fn = fn
+	r.name = name
+	k.runExtra += n - 1
+	k.heap = append(k.heap, heapKey{at: entries[0].At, seq: entries[0].Seq, slot: ^id})
+	if len(k.heap) > k.heapHW {
+		k.heapHW = len(k.heap)
+	}
+	k.up(len(k.heap) - 1)
+}
+
+// checkRun panics unless entries form a valid run: starting no earlier
+// than now, sorted by (at, seq), every seq already reserved. Scheduling in
+// the past or out of order is always a model bug, as in scheduleAt.
+func (k *Kernel) checkRun(name string, entries []RunEntry) {
+	if entries[0].At < k.now {
+		panic(fmt.Sprintf("sim: run %q starts at %v before now %v", name, entries[0].At, k.now))
+	}
+	for i, e := range entries {
+		if e.Seq >= k.seq {
+			panic(fmt.Sprintf("sim: run %q entry %d has unreserved seq %d", name, i, e.Seq))
+		}
+		if i > 0 && !keyLess(heapKey{at: entries[i-1].At, seq: entries[i-1].Seq}, heapKey{at: e.At, seq: e.Seq}) {
+			panic(fmt.Sprintf("sim: run %q entry %d (at %v, seq %d) is not after entry %d (at %v, seq %d)",
+				name, i, e.At, e.Seq, i-1, entries[i-1].At, entries[i-1].Seq))
+		}
+	}
+}
+
+// getRun takes a free run slot whose buffer holds n entries. A slot keeps
+// its buffer for life, and slots are pooled by the buffer's power-of-two
+// capacity class, so a buffer is only reused for a run of its own class
+// and the pool retains at most twice the peak number of queued entries
+// per class.
+func (k *Kernel) getRun(n int) int32 {
+	c := bits.Len(uint(n - 1))
+	if free := k.freeRuns[c]; len(free) > 0 {
+		k.freeRuns[c] = free[:len(free)-1]
+		return free[len(free)-1]
+	}
+	k.runs = append(k.runs, run{buf: make([]RunEntry, 0, 1<<c)})
+	return int32(len(k.runs) - 1)
+}
+
+// putRun returns a finished run's slot to its class pool. As with
+// putEvent, the buffer keeps its stale entries until the next run of its
+// class overwrites them: clearing them costs a write barrier per entry.
+//
+//wlan:hotpath
+func (k *Kernel) putRun(id int32) {
+	c := bits.Len(uint(cap(k.runs[id].buf) - 1))
+	k.freeRuns[c] = append(k.freeRuns[c], id)
+}
+
 // Cancel marks an event so it will not fire. Cancelling zero, fired or
 // already-cancelled handles is a no-op. Cancelled events are reclaimed
-// lazily: on drain if still heaped, in bulk once they exceed half the
-// queue, or when the run loop reaches them in the current cohort.
+// lazily: when the run loop pops them, or in bulk once they exceed half
+// the queue.
 func (k *Kernel) Cancel(t Timer) {
 	e := t.e
-	if e == nil || e.gen != t.gen || e.loc == locFree || e.cancel {
+	if e == nil || e.gen != t.gen || !e.queued || e.cancel {
 		return
 	}
 	e.cancel = true
 	e.fn = nil
 	e.argFn = nil
 	e.arg = nil
-	if e.loc == locCohort {
-		// Already drained into the current same-timestamp cohort but not
-		// yet executed: the drain loop skips it. Tracked separately from
-		// heap accounting — it no longer occupies a heap slot.
-		k.cohortCancelled++
-		return
-	}
 	k.cancelled++
 	if k.cancelled > 16 && k.cancelled > len(k.heap)/2 {
 		k.reapCancelled()
@@ -393,6 +481,10 @@ func (k *Kernel) reapCancelled() {
 	h := k.heap
 	live := h[:0]
 	for _, key := range h {
+		if key.slot < 0 {
+			live = append(live, key) // run heads are never cancelled
+			continue
+		}
 		e := k.slots[key.slot]
 		if e.cancel {
 			k.cancelled--
@@ -413,212 +505,91 @@ func (k *Kernel) Stop() { k.stopped = true }
 // maxTime is the far-future deadline Run uses to drain everything.
 const maxTime = Time(math.MaxInt64)
 
-// cohortSeqLess orders cohort keys ascending by seq. It is the fallback
-// comparator for pathologically large cohorts; package-level so the batch
-// drain stays closure-free.
-func cohortSeqLess(a, b heapKey) int {
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1
-}
-
-// drainCohort extracts every heap key with timestamp at (the current
-// minimum) into the cohort buffer in one fix-up pass, sorted by seq.
-// Cancelled events encountered during extraction are recycled immediately.
-//
-// All keys equal to the minimum form a "crown": the heap property forces
-// every ancestor of an at-timestamp key to carry the same timestamp, so
-// the cohort is an upward-closed subtree containing the root. The crown is
-// collected by a BFS that prunes at the first later timestamp, the holes
-// are refilled from the heap tail, and heap order is repaired with a
-// single descending sift-down pass over the refilled positions — one
-// fix-up pass for the whole cohort instead of one root pop per event.
+// popRoot removes the heap root.
 //
 //wlan:hotpath
-func (k *Kernel) drainCohort(at Time) {
+func (k *Kernel) popRoot() {
 	h := k.heap
-	k.crown = append(k.crown[:0], 0)
-	for p := 0; p < len(k.crown); p++ {
-		c := int(k.crown[p])<<2 + 1
-		end := c + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for ; c < end; c++ {
-			if h[c].at == at {
-				k.crown = append(k.crown, int32(c))
-			}
-		}
+	n := len(h) - 1
+	k.heap = h[:n]
+	if n > 0 {
+		h[0] = h[n]
+		k.down(0)
 	}
+}
 
-	// Move crown keys into the cohort buffer (dropping cancelled events),
-	// then deliver in (at, seq) order — identical to per-event popping.
-	for _, i := range k.crown {
-		key := h[i]
+// enter advances the clock to the time of the event about to execute and
+// accounts for it.
+//
+//wlan:hotpath
+func (k *Kernel) enter(at Time, name string) {
+	if at < k.now {
+		panic("sim: queue yielded event in the past")
+	}
+	k.now = at
+	if k.OnEvent != nil {
+		k.OnEvent(at, name)
+	}
+	k.processed++
+}
+
+// drainStep executes the next runnable event at or before deadline. It
+// reports false when nothing remains at or before the deadline.
+//
+//wlan:hotpath
+func (k *Kernel) drainStep(deadline Time) bool {
+	for len(k.heap) > 0 {
+		key := k.heap[0]
+		if key.at > deadline {
+			return false
+		}
+		if key.slot < 0 {
+			k.execRun(key)
+			return true
+		}
+		k.popRoot()
 		e := k.slots[key.slot]
 		if e.cancel {
 			k.cancelled--
 			k.putEvent(e)
 			continue
 		}
-		e.loc = locCohort
-		k.cohort = append(k.cohort, key)
-	}
-	// Bucket the live cohort size for the drain-path statistics that
-	// internal/core flushes into the metrics registry.
-	if sz := len(k.cohort); sz > 0 {
-		b := bits.Len(uint(sz - 1))
-		if b > 7 {
-			b = 7
+		k.enter(key.at, e.name)
+		fn, argFn, arg := e.fn, e.argFn, e.arg
+		k.putEvent(e) // recycle before invoking: the callback may reschedule
+		if argFn != nil {
+			argFn(arg)
+		} else {
+			fn()
 		}
-		k.cohortSizes[b]++
-		k.cohortEvents += uint64(sz)
+		return true
 	}
-	// Cohort keys arrive in heap order; delivery order is ascending seq.
-	// Cohorts are a transmission fan-out — a few dozen keys at most — so a
-	// direct insertion sort beats the generic sort's dispatch overhead;
-	// pathological cohorts fall back to the library sort.
-	coh := k.cohort
-	if len(coh) <= 48 {
-		for i := 1; i < len(coh); i++ {
-			key := coh[i]
-			j := i - 1
-			for j >= 0 && coh[j].seq > key.seq {
-				coh[j+1] = coh[j]
-				j--
-			}
-			coh[j+1] = key
-		}
-	} else {
-		slices.SortFunc(coh, cohortSeqLess)
-	}
-
-	// Compact: fill each hole below the new length from the heap tail,
-	// skipping tail positions that are themselves holes. The crown is
-	// already ascending: the BFS appends children 4p+1..4p+4 of crown
-	// entries whose own indices strictly increase, so each batch starts
-	// past the previous one — no sort needed.
-	n := len(h)
-	c := len(k.crown)
-	n2 := n - c
-	j := c - 1
-	last := n - 1
-	for _, hi := range k.crown {
-		hole := int(hi)
-		if hole >= n2 {
-			break
-		}
-		for j >= 0 && int(k.crown[j]) == last {
-			j--
-			last--
-		}
-		h[hole] = h[last]
-		last--
-	}
-	k.heap = h[:n2]
-
-	// Repair: descending order guarantees each sift-down sees valid
-	// subtrees below (holes are upward-closed, so a hole's children are
-	// either untouched heaps or already-repaired holes).
-	for i := c - 1; i >= 0; i-- {
-		if hole := int(k.crown[i]); hole < n2 {
-			k.down(hole)
-		}
-	}
+	return false
 }
 
-// execute runs one live, drained event at key.at.
+// execRun executes the entry at a run head. The run's next key replaces
+// the heap root and sifts down once, or the root is removed when the run
+// is done; the slot and buffer are recycled before the callback, which may
+// reuse them.
 //
 //wlan:hotpath
-func (k *Kernel) execute(key heapKey, e *Event) {
-	if key.at < k.now {
-		panic("sim: queue yielded event in the past")
-	}
-	k.now = key.at
-	if k.OnEvent != nil {
-		k.OnEvent(key.at, e.name)
-	}
-	fn, argFn, arg := e.fn, e.argFn, e.arg
-	k.putEvent(e) // recycle before invoking: the callback may reschedule
-	k.processed++
-	if argFn != nil {
-		argFn(arg)
+func (k *Kernel) execRun(key heapKey) {
+	id := ^key.slot
+	r := &k.runs[id]
+	ent := r.buf[r.pos]
+	fn, name := r.fn, r.name
+	r.pos++
+	if r.pos < len(r.buf) {
+		next := &r.buf[r.pos]
+		k.heap[0] = heapKey{at: next.At, seq: next.Seq, slot: key.slot}
+		k.down(0)
+		k.runExtra--
 	} else {
-		fn()
+		k.popRoot()
+		k.putRun(id)
 	}
-}
-
-// drainStep executes the next runnable event at or before deadline,
-// refilling the cohort buffer from the heap as needed. It reports false
-// when nothing remains at or before the deadline.
-//
-//wlan:hotpath
-func (k *Kernel) drainStep(deadline Time) bool {
-	for {
-		for k.cohortPos < len(k.cohort) {
-			key := k.cohort[k.cohortPos]
-			if key.at > deadline {
-				return false
-			}
-			k.cohortPos++
-			e := k.slots[key.slot]
-			if e.cancel {
-				k.cohortCancelled--
-				k.putEvent(e)
-				continue
-			}
-			k.execute(key, e)
-			return true
-		}
-		if k.cohortPos > 0 {
-			k.cohort = k.cohort[:0]
-			k.cohortPos = 0
-			k.cohortCancelled = 0
-		}
-		h := k.heap
-		if len(h) == 0 {
-			return false
-		}
-		key := h[0]
-		if key.at > deadline {
-			return false
-		}
-		// Solo fast path: the heap property puts every same-timestamp event
-		// in an upward-closed crown, so if no child of the root shares its
-		// timestamp the cohort is exactly the root — pop it directly and
-		// skip the batch machinery.
-		solo := true
-		end := 5
-		if end > len(h) {
-			end = len(h)
-		}
-		for j := 1; j < end; j++ {
-			if h[j].at == key.at {
-				solo = false
-				break
-			}
-		}
-		if solo {
-			n := len(h) - 1
-			k.heap = h[:n]
-			if n > 0 {
-				h[0] = h[n]
-				k.down(0)
-			}
-			e := k.slots[key.slot]
-			if e.cancel {
-				k.cancelled--
-				k.putEvent(e)
-				continue
-			}
-			k.cohortSizes[0]++
-			k.cohortEvents++
-			k.execute(key, e)
-			return true
-		}
-		k.drainCohort(key.at)
-	}
+	k.enter(ent.At, name)
+	fn(ent.Arg)
 }
 
 // Run executes events until the queue drains or Stop is called.

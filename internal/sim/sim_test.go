@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,91 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	k.ScheduleAt(Time(1*Microsecond), "past", func() {})
+}
+
+// Run entries interleave with plain events by (at, seq) exactly as the same
+// entries scheduled one by one would: a plain event scheduled before the
+// reservation wins a timestamp tie, one scheduled after loses it, and
+// OnEvent reports every entry under the run's name.
+func TestRunInterleavesWithPlainEvents(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	var names []string
+	k.OnEvent = func(_ Time, name string) { names = append(names, name) }
+	k.ScheduleAt(10, "early", func() { order = append(order, "early") })
+	base := k.ReserveSeqs(3)
+	k.ScheduleAt(10, "late", func() { order = append(order, "late") })
+	k.ScheduleAt(15, "mid", func() { order = append(order, "mid") })
+	k.ScheduleRun("run", func(x any) { order = append(order, x.(string)) }, []RunEntry{
+		{At: 10, Seq: base + 1, Arg: "r1"},
+		{At: 10, Seq: base + 2, Arg: "r2"},
+		{At: 20, Seq: base, Arg: "r0"},
+	})
+	if k.Pending() != 6 || k.HeapDepth() != 4 {
+		t.Fatalf("Pending = %d, heap depth = %d; want 6 events in 4 keys", k.Pending(), k.HeapDepth())
+	}
+	k.RunUntil(12) // splits the run
+	if k.Pending() != 2 {
+		t.Fatalf("Pending = %d after RunUntil(12), want 2", k.Pending())
+	}
+	k.Run()
+	want := []string{"early", "r1", "r2", "late", "mid", "r0"}
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	wantNames := []string{"early", "run", "run", "late", "mid", "run"}
+	if strings.Join(names, " ") != strings.Join(wantNames, " ") {
+		t.Fatalf("OnEvent names = %v, want %v", names, wantNames)
+	}
+	if k.Pending() != 0 || k.Processed() != 6 {
+		t.Fatalf("Pending = %d, Processed = %d after drain; want 0, 6", k.Pending(), k.Processed())
+	}
+}
+
+// ScheduleRun rejects runs that start in the past, are not sorted by
+// (at, seq) or use sequence numbers that were never reserved, with a
+// message naming the run, as scheduleAt does for plain events.
+func TestScheduleRunInvalidPanics(t *testing.T) {
+	fn := func(any) {}
+	cases := []struct {
+		name, want string
+		entries    func(k *Kernel, base uint64) []RunEntry
+	}{
+		{"past head", "before now", func(k *Kernel, base uint64) []RunEntry {
+			return []RunEntry{{At: k.Now() - 1, Seq: base}, {At: k.Now() + 5, Seq: base + 1}}
+		}},
+		{"unsorted time", "is not after entry 0", func(k *Kernel, base uint64) []RunEntry {
+			return []RunEntry{{At: k.Now() + 5, Seq: base}, {At: k.Now() + 4, Seq: base + 1}}
+		}},
+		{"unsorted seq at equal time", "is not after entry 1", func(k *Kernel, base uint64) []RunEntry {
+			return []RunEntry{{At: k.Now() + 1, Seq: base}, {At: k.Now() + 5, Seq: base + 2}, {At: k.Now() + 5, Seq: base + 1}}
+		}},
+		{"duplicate key", "is not after entry 0", func(k *Kernel, base uint64) []RunEntry {
+			return []RunEntry{{At: k.Now() + 5, Seq: base}, {At: k.Now() + 5, Seq: base}}
+		}},
+		{"unreserved seq", "unreserved seq", func(k *Kernel, base uint64) []RunEntry {
+			return []RunEntry{{At: k.Now() + 5, Seq: base}, {At: k.Now() + 6, Seq: base + 3}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			k.RunUntil(100)
+			base := k.ReserveSeqs(3)
+			entries := tc.entries(k, base)
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if !strings.Contains(msg, tc.want) || !strings.Contains(msg, `run "bad"`) {
+					t.Fatalf("panic = %v, want a message naming run \"bad\" and containing %q", r, tc.want)
+				}
+				if k.Pending() != 0 || k.HeapDepth() != 0 {
+					t.Fatalf("rejected run left Pending %d, heap depth %d", k.Pending(), k.HeapDepth())
+				}
+			}()
+			k.ScheduleRun("bad", fn, entries)
+		})
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
