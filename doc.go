@@ -28,7 +28,7 @@
 //   - internal/medium pools transmissions and arrivals, queues each
 //     transmission's arrival edges as two sorted runs, caches per-link
 //     gain and propagation delay for static radio pairs (invalidated on
-//     movement), prunes fan-out through per-radio neighbor lists, reuses
+//     movement), prunes fan-out through a uniform-grid spatial index, reuses
 //     wire buffers, decodes each transmission once per fan-out, and
 //     memoizes the PHY chunk-error model.
 //   - internal/harness runs each experiment's independent scenario points

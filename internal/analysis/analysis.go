@@ -6,7 +6,7 @@
 //   - retainview: delivered RX frames are zero-copy views into pooled
 //     decode buffers; storing one (or its body) past the handler without
 //     frame.Frame.Clone is flagged.
-//   - txownership: frames handed to mac.DCF.Enqueue are MAC-owned and
+//   - txownership: frames handed to a MAC's Enqueue are MAC-owned and
 //     must come from the node's txPool (or be Clones); fresh literals and
 //     uses after the commit-on-accept hand-off are flagged.
 //   - determinism: sim-deterministic packages must stay bit-reproducible —

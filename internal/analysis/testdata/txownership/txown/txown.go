@@ -1,12 +1,14 @@
-// Package txown exercises the txownership contract: frames handed to
-// mac.DCF.Enqueue come from a txPool slot (or a Clone), and are MAC-owned
-// after the commit-on-accept hand-off.
+// Package txown exercises the txownership contract: frames handed to a
+// MAC's Enqueue (mac.DCF, the baseline MACs, or the net80211.MAC interface)
+// come from a txPool slot (or a Clone), and are MAC-owned after the
+// commit-on-accept hand-off.
 package txown
 
 import (
 	"repro/internal/frame"
 	"repro/internal/mac"
 	"repro/internal/medium"
+	"repro/internal/net80211"
 )
 
 // pool mirrors the net80211 txPool ownership idiom.
@@ -111,4 +113,45 @@ func goodRebind(p *pool) {
 	}
 	s = p.slot()
 	s.f = frame.Frame{Type: frame.TypeControl}
+}
+
+// The same contract holds through the MAC interface net80211.Adhoc sends
+// through, and on the baseline MACs.
+var (
+	link  net80211.MAC
+	aloha *mac.Aloha
+	tdma  *mac.TDMA
+)
+
+func badInterfaceConstructor(da, sa frame.MACAddr) {
+	link.Enqueue(frame.NewData(da, sa, sa, false, false, nil)) // want "fresh frame.NewData frame"
+}
+
+func badInterfaceLiteral() {
+	f := &frame.Frame{Type: frame.TypeData}
+	link.Enqueue(f) // want "fresh frame literal"
+}
+
+func badBaselines() {
+	aloha.Enqueue(new(frame.Frame))                  // want "new\\(\\)-allocated frame"
+	tdma.Enqueue(&frame.Frame{Type: frame.TypeData}) // want "fresh frame literal"
+}
+
+func badInterfaceUseAfterHandoff(p *pool) {
+	s := p.slot()
+	s.f = frame.Frame{Type: frame.TypeData}
+	if link.Enqueue(&s.f) {
+		p.commit()
+	}
+	s.f.Seq = 1 // want "the MAC owns the frame"
+}
+
+func goodInterfacePooled(p *pool) {
+	s := p.slot()
+	s.f = frame.Frame{Type: frame.TypeData}
+	if !link.Enqueue(&s.f) {
+		s.f.Retry = false
+		return
+	}
+	p.commit()
 }

@@ -8,7 +8,9 @@ import (
 )
 
 // TxOwnership enforces the TX-ownership contract (mac and net80211
-// package docs): a frame handed to mac.DCF.Enqueue belongs to the MAC
+// package docs): a frame handed to a MAC's Enqueue — mac.DCF, the baseline
+// mac.Aloha and mac.TDMA, or the net80211.MAC interface that send paths
+// call through — belongs to the MAC
 // until the MSDU is delivered or dropped — the MAC mutates and
 // retransmits from that storage in place. Send paths draw frames from the
 // per-node txPool (or hand the MAC a Clone); fresh frame literals and
@@ -16,7 +18,7 @@ import (
 // the commit-on-accept hand-off races the MAC's in-place mutation.
 var TxOwnership = &Analyzer{
 	Name: "txownership",
-	Doc: "flag frames passed to mac.DCF.Enqueue that are not drawn from a txPool " +
+	Doc: "flag frames passed to a MAC's Enqueue that are not drawn from a txPool " +
 		"slot (or Cloned), and uses of a frame after the hand-off",
 	Run: runTxOwnership,
 }
@@ -39,16 +41,23 @@ func runTxOwnership(pass *Pass) error {
 	return nil
 }
 
-// dcfEnqueue returns the frame argument if call is mac.DCF.Enqueue.
-func dcfEnqueue(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
+// enqueueReceivers are the types whose Enqueue takes frame ownership.
+var enqueueReceivers = [][2]string{{"mac", "DCF"}, {"mac", "Aloha"}, {"mac", "TDMA"}, {"net80211", "MAC"}}
+
+// macEnqueue returns the frame argument if call is Enqueue on one of the
+// enqueueReceivers.
+func macEnqueue(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Enqueue" || len(call.Args) != 1 {
 		return nil, false
 	}
-	if !IsNamed(pass.TypeOf(sel.X), "mac", "DCF") {
-		return nil, false
+	t := pass.TypeOf(sel.X)
+	for _, r := range enqueueReceivers {
+		if IsNamed(t, r[0], r[1]) {
+			return call.Args[0], true
+		}
 	}
-	return call.Args[0], true
+	return nil, false
 }
 
 func checkEnqueues(pass *Pass, body *ast.BlockStmt, viewParam types.Object) {
@@ -57,7 +66,7 @@ func checkEnqueues(pass *Pass, body *ast.BlockStmt, viewParam types.Object) {
 		if !ok {
 			return true
 		}
-		arg, ok := dcfEnqueue(pass, call)
+		arg, ok := macEnqueue(pass, call)
 		if !ok {
 			return true
 		}
@@ -184,7 +193,7 @@ func checkUseAfterHandoff(pass *Pass, body *ast.BlockStmt, enq *ast.CallExpr, ro
 	flagUses := func(n ast.Node) {
 		ast.Inspect(n, func(inner ast.Node) bool {
 			if id, ok := inner.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == root {
-				pass.Reportf(id.Pos(), "tx-ownership contract: %s was handed to mac.DCF.Enqueue above; after the "+
+				pass.Reportf(id.Pos(), "tx-ownership contract: %s was handed to the MAC's Enqueue above; after the "+
 					"hand-off the MAC owns the frame and mutates it in place (see txownership)", id.Name)
 			}
 			return true
@@ -269,7 +278,7 @@ func isFailureBranch(pass *Pass, cond ast.Expr, okObj types.Object) bool {
 			return okObj != nil && pass.TypesInfo.Uses[id] == okObj
 		}
 		if call, ok := unparen(c.X).(*ast.CallExpr); ok {
-			_, isEnq := dcfEnqueue(pass, call)
+			_, isEnq := macEnqueue(pass, call)
 			return isEnq
 		}
 	case *ast.BinaryExpr:

@@ -1,7 +1,9 @@
 // Package core is the public scenario API of the simulator: it assembles
 // the kernel, medium, radios, MACs, rate controllers and management plane
 // into networks you can describe in a few lines, attaches measured traffic
-// flows, and runs them for virtual time.
+// flows, and runs them for virtual time. AddAloha and AddTDMA build IBSS
+// nodes over the baseline MACs instead of the DCF, so one network type
+// serves the MAC comparison too.
 //
 //	net := core.NewNetwork(core.Config{Mode: "802.11b", Seed: 1})
 //	ap  := net.AddAP("ap0", geom.Pt(0, 0), net80211.APConfig{SSID: "lab"})
@@ -84,18 +86,20 @@ type Config struct {
 type Node struct {
 	Name  string
 	Radio *medium.Radio
-	MAC   *mac.DCF
+	// MAC is the node's DCF; it is nil on ALOHA and TDMA nodes.
+	MAC *mac.DCF
 
 	// Exactly one of these is non-nil depending on the node role.
 	AP    *net80211.AP
 	STA   *net80211.STA
 	Adhoc *net80211.Adhoc
 
-	net *Network
+	link net80211.MAC // the node's MAC, whichever kind
+	net  *Network
 }
 
 // Address returns the node's MAC address.
-func (n *Node) Address() frame.MACAddr { return n.MAC.Address() }
+func (n *Node) Address() frame.MACAddr { return n.link.Address() }
 
 // Send transmits an application payload to dst through whatever role the
 // node has. It returns false when the node cannot send yet (e.g. an
@@ -297,8 +301,10 @@ func (n *Network) rateController(name, spec string) mac.RateController {
 	return rate.NewFixed(n.mode, idx)
 }
 
-// newStack builds radio+MAC for a node.
-func (n *Network) newStack(name string, mob geom.Mobility, rateSpec string) (*medium.Radio, *mac.DCF) {
+// addNode registers a node named name: a radio on the network's channel
+// at mob, and the MAC that mk attaches to it under a fresh address. Every
+// Add* constructor builds its node here.
+func (n *Network) addNode(name string, mob geom.Mobility, mk func(r *medium.Radio, addr frame.MACAddr) net80211.MAC) *Node {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("core: duplicate node name %q", name))
 	}
@@ -311,31 +317,44 @@ func (n *Network) newStack(name string, mob geom.Mobility, rateSpec string) (*me
 		CaptureEnabled: n.cfg.Capture,
 		CaptureMargin:  units.DB(n.cfg.CaptureMarginDB),
 	})
-	d := mac.New(n.kernel, r, mac.Config{
-		Address:       n.alloc.Next(),
-		Mode:          n.mode,
-		RTSThreshold:  n.cfg.RTSThreshold,
-		FragThreshold: n.cfg.FragThreshold,
-		CWmin:         n.cfg.CWmin,
-		CWmax:         n.cfg.CWmax,
-		QueueCap:      n.cfg.QueueCap,
-	}, n.rateController(name, rateSpec), n.root)
-	return r, d
-}
-
-func (n *Network) register(node *Node) *Node {
-	n.nodes[node.Name] = node
+	node := &Node{Name: name, Radio: r, net: n}
+	node.link = mk(r, n.alloc.Next())
+	node.MAC, _ = node.link.(*mac.DCF)
+	n.nodes[name] = node
 	n.order = append(n.order, node)
 	return node
 }
 
+// dcf returns an addNode constructor for a DCF with the network's MAC
+// parameters, overridden by opts' non-zero fields.
+func (n *Network) dcf(name string, opts NodeOpts, promiscuous bool) func(*medium.Radio, frame.MACAddr) net80211.MAC {
+	pick := func(v, def int) int {
+		if v != 0 {
+			return v
+		}
+		return def
+	}
+	return func(r *medium.Radio, addr frame.MACAddr) net80211.MAC {
+		return mac.New(n.kernel, r, mac.Config{
+			Address:       addr,
+			Mode:          n.mode,
+			RTSThreshold:  n.cfg.RTSThreshold,
+			FragThreshold: n.cfg.FragThreshold,
+			CWmin:         pick(opts.CWmin, n.cfg.CWmin),
+			CWmax:         pick(opts.CWmax, n.cfg.CWmax),
+			AIFSN:         opts.AIFSN,
+			QueueCap:      pick(opts.QueueCap, n.cfg.QueueCap),
+			Promiscuous:   promiscuous,
+		}, n.rateController(name, opts.RateAdapt), n.root)
+	}
+}
+
 // AddAP creates an access point node.
 func (n *Network) AddAP(name string, at geom.Point, cfg net80211.APConfig) *Node {
-	r, d := n.newStack(name, geom.Static{P: at}, "")
-	node := &Node{Name: name, Radio: r, MAC: d, net: n}
-	node.AP = net80211.NewAP(n.kernel, d, cfg)
+	node := n.addNode(name, geom.Static{P: at}, n.dcf(name, NodeOpts{}, false))
+	node.AP = net80211.NewAP(n.kernel, node.MAC, cfg)
 	node.AP.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
-	return n.register(node)
+	return node
 }
 
 // AddStation creates an infrastructure station node.
@@ -345,11 +364,10 @@ func (n *Network) AddStation(name string, at geom.Point, cfg net80211.STAConfig)
 
 // AddMobileStation creates a station with an arbitrary mobility model.
 func (n *Network) AddMobileStation(name string, mob geom.Mobility, cfg net80211.STAConfig) *Node {
-	r, d := n.newStack(name, mob, "")
-	node := &Node{Name: name, Radio: r, MAC: d, net: n}
-	node.STA = net80211.NewSTA(n.kernel, d, cfg)
+	node := n.addNode(name, mob, n.dcf(name, NodeOpts{}, false))
+	node.STA = net80211.NewSTA(n.kernel, node.MAC, cfg)
 	node.STA.OnReceive = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
-	return n.register(node)
+	return node
 }
 
 // AddAdhoc creates an IBSS node (also the workhorse for pure-MAC
@@ -379,66 +397,61 @@ type NodeOpts struct {
 
 // AddAdhocOpts creates an IBSS node with per-node MAC overrides.
 func (n *Network) AddAdhocOpts(name string, at geom.Point, opts NodeOpts) *Node {
-	if _, dup := n.nodes[name]; dup {
-		panic(fmt.Sprintf("core: duplicate node name %q", name))
+	return n.adhoc(n.addNode(name, geom.Static{P: at}, n.dcf(name, opts, false)))
+}
+
+// AddAloha creates an IBSS node whose MAC is ALOHA instead of the DCF:
+// pure ALOHA for slot 0, slotted ALOHA with that slot length otherwise
+// (see mac.NewAloha). It transmits at the network's fixed rate and queues
+// Config.QueueCap frames; Node.MAC is nil. It panics unless RateAdapt is
+// fixed[:idx].
+func (n *Network) AddAloha(name string, at geom.Point, slot sim.Duration) *Node {
+	ri := n.baselineRate("AddAloha", name)
+	return n.adhoc(n.addNode(name, geom.Static{P: at}, func(r *medium.Radio, addr frame.MACAddr) net80211.MAC {
+		return mac.NewAloha(n.kernel, r, addr, ri, n.cfg.QueueCap, slot)
+	}))
+}
+
+// AddTDMA creates an IBSS node whose MAC is ideal TDMA owning slot index
+// slot of nSlots, each slotDur long (see mac.NewTDMA). It transmits at the
+// network's fixed rate and queues Config.QueueCap frames; Node.MAC is nil.
+// It panics unless RateAdapt is fixed[:idx], nSlots > 0,
+// 0 <= slot < nSlots and slotDur > 0.
+func (n *Network) AddTDMA(name string, at geom.Point, slot, nSlots int, slotDur sim.Duration) *Node {
+	ri := n.baselineRate("AddTDMA", name)
+	return n.adhoc(n.addNode(name, geom.Static{P: at}, func(r *medium.Radio, addr frame.MACAddr) net80211.MAC {
+		return mac.NewTDMA(n.kernel, r, addr, ri, n.cfg.QueueCap, slot, nSlots, slotDur)
+	}))
+}
+
+// baselineRate returns the rate index a baseline MAC transmits at: the
+// baselines have no rate controller, so the network must pin one.
+func (n *Network) baselineRate(op, name string) phy.RateIdx {
+	policy, idx, _ := parseRate(n.cfg.RateAdapt, n.mode)
+	if policy != "fixed" {
+		panic(fmt.Sprintf("core: %s(%q) needs RateAdapt fixed[:idx], have %q", op, name, n.cfg.RateAdapt))
 	}
-	r := n.medium.AddRadio(medium.RadioConfig{
-		Name:           name,
-		Mode:           n.mode,
-		Channel:        n.cfg.Channel,
-		Mobility:       geom.Static{P: at},
-		TxPower:        n.cfg.TxPower,
-		CaptureEnabled: n.cfg.Capture,
-		CaptureMargin:  units.DB(n.cfg.CaptureMarginDB),
-	})
-	pickInt := func(v, def int) int {
-		if v != 0 {
-			return v
-		}
-		return def
-	}
-	d := mac.New(n.kernel, r, mac.Config{
-		Address:       n.alloc.Next(),
-		Mode:          n.mode,
-		RTSThreshold:  n.cfg.RTSThreshold,
-		FragThreshold: n.cfg.FragThreshold,
-		CWmin:         pickInt(opts.CWmin, n.cfg.CWmin),
-		CWmax:         pickInt(opts.CWmax, n.cfg.CWmax),
-		AIFSN:         opts.AIFSN,
-		QueueCap:      pickInt(opts.QueueCap, n.cfg.QueueCap),
-	}, n.rateController(name, opts.RateAdapt), n.root)
-	node := &Node{Name: name, Radio: r, MAC: d, net: n}
-	node.Adhoc = net80211.NewAdhoc(n.kernel, d, net80211.IBSSID())
+	return idx
+}
+
+// adhoc runs the IBSS role over node's MAC, delivering to the shared sink.
+func (n *Network) adhoc(node *Node) *Node {
+	node.Adhoc = net80211.NewAdhoc(n.kernel, node.link, net80211.IBSSID())
 	node.Adhoc.OnReceive = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
-	return n.register(node)
+	return node
 }
 
 // AddMonitor creates a passive monitor-mode node: its MAC runs promiscuous
 // and every overheard frame is handed to the callback. Monitors never
 // transmit (nothing is addressed to them, so no ACKs either).
 func (n *Network) AddMonitor(name string, at geom.Point, capture func(f *frame.Frame, info medium.RxInfo)) *Node {
-	if _, dup := n.nodes[name]; dup {
-		panic(fmt.Sprintf("core: duplicate node name %q", name))
-	}
-	r := n.medium.AddRadio(medium.RadioConfig{
-		Name:     name,
-		Mode:     n.mode,
-		Channel:  n.cfg.Channel,
-		Mobility: geom.Static{P: at},
-		TxPower:  n.cfg.TxPower,
-	})
-	d := mac.New(n.kernel, r, mac.Config{
-		Address:     n.alloc.Next(),
-		Mode:        n.mode,
-		Promiscuous: true,
-	}, n.rateController(name, ""), n.root)
-	d.SetReceiver(func(f *frame.Frame, info medium.RxInfo) {
+	node := n.addNode(name, geom.Static{P: at}, n.dcf(name, NodeOpts{}, true))
+	node.MAC.SetReceiver(func(f *frame.Frame, info medium.RxInfo) {
 		if capture != nil {
 			capture(f, info)
 		}
 	})
-	node := &Node{Name: name, Radio: r, MAC: d, net: n}
-	return n.register(node)
+	return node
 }
 
 // DS returns (creating on first use) the wired distribution system switch

@@ -8,10 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/geom"
-	"repro/internal/mac"
-	"repro/internal/medium"
 	"repro/internal/phy"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/stats"
@@ -34,55 +31,10 @@ func init() {
 	})
 }
 
-// baselineWorld builds kernel+medium+n sender radios around a sink radio on
-// a clean free-space channel at 11 Mbit/s (collisions destructive).
-type baselineWorld struct {
-	k       *sim.Kernel
-	m       *medium.Medium
-	mode    *phy.Mode
-	sink    *medium.Radio
-	senders []*medium.Radio
-	src     *rng.Source
-}
-
-func newBaselineWorld(seed uint64, n int) *baselineWorld {
-	k := sim.NewKernel()
-	src := rng.New(seed)
-	model := spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz}, nil, nil)
-	m := medium.New(k, model, src)
-	mode := phy.Mode80211b()
-	w := &baselineWorld{k: k, m: m, mode: mode, src: src}
-	w.sink = m.AddRadio(medium.RadioConfig{
-		Name: "sink", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 16,
-	})
-	for i := 0; i < n; i++ {
-		w.senders = append(w.senders, m.AddRadio(medium.RadioConfig{
-			Name: fmt.Sprintf("s%d", i), Mode: mode,
-			Mobility: geom.Static{P: geom.Circle(n, 5, geom.Pt(0, 0))[i]},
-			TxPower:  16,
-		}))
-	}
-	return w
-}
-
-// poissonDrive schedules Poisson arrivals calling enqueue on each sender.
-func (w *baselineWorld) poissonDrive(perSenderPPS float64, enqueue []func()) {
-	for i := range w.senders {
-		gen := w.src.Split(fmt.Sprintf("arr%d", i))
-		enq := enqueue[i]
-		var arrive func()
-		arrive = func() {
-			enq()
-			dt := sim.Duration(gen.ExpFloat64() / perSenderPPS * float64(sim.Second))
-			w.k.Schedule(dt, "arrival", arrive)
-		}
-		dt := sim.Duration(gen.ExpFloat64() / perSenderPPS * float64(sim.Second))
-		w.k.Schedule(dt, "arrival", arrive)
-	}
-}
-
-// runF11 sweeps offered load G for the four MACs and reports normalized
-// goodput S (frames per frame-time).
+// gridF11 sweeps offered load G for the four MACs and reports normalized
+// goodput S (frames per frame-time). Every column is the same network —
+// a sink and n senders with Poisson flows — differing only in the MAC its
+// nodes run.
 func gridF11(quick bool) *Grid {
 	t := stats.NewTable("F11: normalized goodput S vs offered load G (500B @ 11 Mbit/s)",
 		"G", "aloha", "slotted", "dcf", "tdma",
@@ -91,52 +43,46 @@ func gridF11(quick bool) *Grid {
 	gs := pick(quick, []float64{0.25, 0.5, 1.0}, []float64{0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5})
 	const n = 10
 	const payload = 500
-	wire := payload + frame.DataHdrLen + frame.FCSLen
+	// Every column sends the payload SNAP-encapsulated in a data frame.
+	wire := frame.DataHdrLen + frame.SnapHeaderLen + payload + frame.FCSLen
+	frameTime := phy.Mode80211b().Airtime(3, wire)
+	slotDur := frameTime + 100*sim.Microsecond // TDMA slot: one frame plus guard
 	run := runDur(quick, 10*sim.Second, 25*sim.Second)
+
+	// Each column's seed base and node constructor; slot is the sender
+	// index (0 for the sink, which never sends).
+	cols := []struct {
+		seed int
+		add  func(net *core.Network, name string, at geom.Point, slot int) *core.Node
+	}{
+		{1100, func(net *core.Network, name string, at geom.Point, _ int) *core.Node {
+			return net.AddAloha(name, at, 0)
+		}},
+		{1100, func(net *core.Network, name string, at geom.Point, _ int) *core.Node {
+			return net.AddAloha(name, at, frameTime)
+		}},
+		{1150, func(net *core.Network, name string, at geom.Point, _ int) *core.Node {
+			return net.AddAdhoc(name, at)
+		}},
+		{1180, func(net *core.Network, name string, at geom.Point, slot int) *core.Node {
+			return net.AddTDMA(name, at, slot, n, slotDur)
+		}},
+	}
 
 	return &Grid{Table: t, N: len(gs), Point: single(func(gi int) []string {
 		g := gs[gi]
 		row := []string{stats.F(g, 2)}
-		mode := phy.Mode80211b()
-		frameTime := mode.Airtime(3, wire)
 		pps := g / n / frameTime.Seconds()
-		sinkAddr := frame.MACAddr{2, 0, 0, 0, 0, 0xee}
-
-		// Pure and slotted ALOHA.
-		for _, slotted := range []bool{false, true} {
-			w := newBaselineWorld(uint64(1100+int(g*100)), n)
-			received := 0
-			passive := mac.NewAloha(w.k, w.sink, 3)
-			passive.SetReceiver(func(*frame.Frame, medium.RxInfo) { received++ })
-			var enq []func()
-			for i, r := range w.senders {
-				var a *mac.Aloha
-				if slotted {
-					a = mac.NewSlottedAloha(w.k, r, 3, frameTime)
-				} else {
-					a = mac.NewAloha(w.k, r, 3)
-				}
-				addr := frame.MACAddr{2, 0, 0, 0, 1, byte(i)}
-				enq = append(enq, func() {
-					a.Enqueue(frame.NewData(sinkAddr, addr, addr, false, false, make([]byte, payload)))
-				})
-			}
-			w.poissonDrive(pps, enq)
-			w.k.RunUntil(sim.Time(run))
-			row = append(row, stats.F(float64(received)*frameTime.Seconds()/run.Seconds(), 3))
-		}
-
-		// DCF through the core API with Poisson flows.
-		{
+		pts := geom.Circle(n, 5, geom.Pt(0, 0))
+		for _, c := range cols {
 			net := core.NewNetwork(core.Config{
-				Seed: uint64(1150 + int(g*100)), RateAdapt: "fixed:3",
+				Seed: uint64(c.seed + int(g*100)), RateAdapt: "fixed:3",
 				PathLoss: spectrum.FreeSpace{Freq: 2412 * units.MHz},
 			})
-			sink := net.AddAdhoc("sink", geom.Pt(0, 0))
-			pts := geom.Circle(n, 5, geom.Pt(0, 0))
+			sink := c.add(net, "sink", geom.Pt(0, 0), 0)
 			var flows []uint32
-			for i := 0; i < n; i++ {
-				s := net.AddAdhoc(fmt.Sprintf("sta%d", i), pts[i])
+			for i := range n {
+				s := c.add(net, fmt.Sprintf("sta%d", i), pts[i], i)
 				flows = append(flows, net.Poisson(s, sink, payload, pps))
 			}
 			net.Run(run)
@@ -148,31 +94,9 @@ func gridF11(quick bool) *Grid {
 			}
 			row = append(row, stats.F(float64(frames)*frameTime.Seconds()/run.Seconds(), 3))
 		}
-
-		// Ideal TDMA.
-		{
-			w := newBaselineWorld(uint64(1180+int(g*100)), n)
-			received := 0
-			slotDur := frameTime + 100*sim.Microsecond
-			passive := mac.NewTDMA(w.k, w.sink, 3, 0, 1, slotDur)
-			passive.SetReceiver(func(*frame.Frame, medium.RxInfo) { received++ })
-			var enq []func()
-			for i, r := range w.senders {
-				tm := mac.NewTDMA(w.k, r, 3, i, n, slotDur)
-				addr := frame.MACAddr{2, 0, 0, 0, 2, byte(i)}
-				enq = append(enq, func() {
-					tm.Enqueue(frame.NewData(sinkAddr, addr, addr, false, false, make([]byte, payload)))
-				})
-			}
-			w.poissonDrive(pps, enq)
-			w.k.RunUntil(sim.Time(run))
-			row = append(row, stats.F(float64(received)*frameTime.Seconds()/run.Seconds(), 3))
-		}
-
-		row = append(row,
+		return append(row,
 			stats.F(analytical.PureAlohaS(g), 3),
 			stats.F(analytical.SlottedAlohaS(g), 3))
-		return row
 	})}
 }
 

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
@@ -31,10 +32,10 @@ func alohaThroughput(t *testing.T, slotted bool, g float64, seed uint64) float64
 	sinkRadio := m.AddRadio(medium.RadioConfig{
 		Name: "sink", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 16,
 	})
-	sink := NewAloha(k, sinkRadio, 3)
+	sinkAddr := frame.MACAddr{2, 0, 0, 0, 0, 0xee}
+	sink := NewAloha(k, sinkRadio, sinkAddr, 3, 0, 0)
 	received := 0
 	sink.SetReceiver(func(*frame.Frame, medium.RxInfo) { received++ })
-	sinkAddr := frame.MACAddr{2, 0, 0, 0, 0, 0xee}
 
 	const nSenders = 10
 	var alloc frame.AddrAllocator
@@ -44,13 +45,12 @@ func alohaThroughput(t *testing.T, slotted bool, g float64, seed uint64) float64
 			Mobility: geom.Static{P: geom.Circle(nSenders, 10, geom.Pt(0, 0))[i]},
 			TxPower:  16,
 		})
-		var a *Aloha
+		var slot sim.Duration
 		if slotted {
-			a = NewSlottedAloha(k, r, 3, frameTime)
-		} else {
-			a = NewAloha(k, r, 3)
+			slot = frameTime
 		}
 		addr := alloc.Next()
+		a := NewAloha(k, r, addr, 3, 0, slot)
 		// Poisson arrivals per sender at rate G/n frames per frame-time.
 		lambda := g / nSenders / frameTime.Seconds() // frames per second
 		gen := src.Split(r.Name() + string(rune(i)))
@@ -111,12 +111,12 @@ func TestTDMANoCollisions(t *testing.T) {
 		Name: "sink", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 16,
 	})
 	received := 0
-	sinkMAC := NewTDMA(k, sinkRadio, 3, 0, 1, slotDur) // passive, never enqueues
+	var alloc frame.AddrAllocator
+	sinkAddr := alloc.Next()
+	sinkMAC := NewTDMA(k, sinkRadio, sinkAddr, 3, 0, 0, 1, slotDur) // passive, never enqueues
 	sinkMAC.SetReceiver(func(*frame.Frame, medium.RxInfo) { received++ })
 
 	const n = 5
-	var alloc frame.AddrAllocator
-	sinkAddr := alloc.Next()
 	macs := make([]*TDMA, n)
 	for i := 0; i < n; i++ {
 		r := m.AddRadio(medium.RadioConfig{
@@ -124,16 +124,17 @@ func TestTDMANoCollisions(t *testing.T) {
 			Mobility: geom.Static{P: geom.Circle(n, 10, geom.Pt(0, 0))[i]},
 			TxPower:  16,
 		})
-		macs[i] = NewTDMA(k, r, 3, i, n, slotDur)
+		macs[i] = NewTDMA(k, r, alloc.Next(), 3, 0, i, n, slotDur)
 	}
 	// Saturate all senders.
 	const perSender = 50
-	for i, tm := range macs {
-		addr := alloc.Next()
+	for _, tm := range macs {
+		addr := tm.Address()
 		for j := 0; j < perSender; j++ {
-			tm.Enqueue(frame.NewData(sinkAddr, addr, addr, false, false, make([]byte, payload)))
+			if !tm.Enqueue(frame.NewData(sinkAddr, addr, addr, false, false, make([]byte, payload))) {
+				t.Fatalf("enqueue %d refused below QueueCap", j)
+			}
 		}
-		_ = i
 	}
 	k.RunUntil(sim.Time(5 * sim.Second))
 
@@ -159,16 +160,19 @@ func TestTDMAFillsAllSlots(t *testing.T) {
 	sinkRadio := m.AddRadio(medium.RadioConfig{Name: "sink", Mode: mode, TxPower: 16,
 		Mobility: geom.Static{P: geom.Pt(5, 0)}})
 	received := 0
-	passive := NewTDMA(k, sinkRadio, 3, 0, 1, slotDur)
+	var alloc frame.AddrAllocator
+	sinkAddr, senderAddr := alloc.Next(), alloc.Next()
+	passive := NewTDMA(k, sinkRadio, sinkAddr, 3, 0, 0, 1, slotDur)
 	passive.SetReceiver(func(*frame.Frame, medium.RxInfo) { received++ })
 
 	r := m.AddRadio(medium.RadioConfig{Name: "s", Mode: mode, TxPower: 16,
 		Mobility: geom.Static{P: geom.Pt(0, 0)}})
-	tm := NewTDMA(k, r, 3, 1, 4, slotDur)
-	var alloc frame.AddrAllocator
-	sinkAddr, senderAddr := alloc.Next(), alloc.Next()
-	for j := 0; j < 1000; j++ {
-		tm.Enqueue(frame.NewData(sinkAddr, senderAddr, senderAddr, false, false, make([]byte, 500)))
+	const frames = 1000
+	tm := NewTDMA(k, r, senderAddr, 3, frames, 1, 4, slotDur)
+	for j := 0; j < frames; j++ {
+		if !tm.Enqueue(frame.NewData(sinkAddr, senderAddr, senderAddr, false, false, make([]byte, 500))) {
+			t.Fatalf("enqueue %d refused below QueueCap", j)
+		}
 	}
 	run := 2 * sim.Second
 	k.RunUntil(sim.Time(run))
@@ -177,5 +181,89 @@ func TestTDMAFillsAllSlots(t *testing.T) {
 	got := float64(received) / run.Seconds()
 	if math.Abs(got-wantPerSec)/wantPerSec > 0.05 {
 		t.Errorf("TDMA 1/4-share rate = %.1f fps, want ~%.1f", got, wantPerSec)
+	}
+}
+
+// baselineRadio builds one radio on a fresh free-space medium.
+func baselineRadio(seed uint64) (*sim.Kernel, *medium.Radio) {
+	k := sim.NewKernel()
+	model := spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz}, nil, nil)
+	m := medium.New(k, model, rng.New(seed))
+	return k, m.AddRadio(medium.RadioConfig{Name: "s", Mode: phy.Mode80211b(), TxPower: 16})
+}
+
+func TestBaselineTryReserveRefusesAtQueueCap(t *testing.T) {
+	k, r := baselineRadio(33)
+	var alloc frame.AddrAllocator
+	addr := alloc.Next()
+	const capacity = 3
+	// Slot 4 of 5 at 1 s: nothing leaves the queue during the test.
+	tm := NewTDMA(k, r, addr, 3, capacity, 4, 5, sim.Second)
+	if got := tm.QueueCap(); got != capacity {
+		t.Fatalf("QueueCap = %d, want %d", got, capacity)
+	}
+	for i := 0; i < capacity-1; i++ {
+		if !tm.Enqueue(frame.NewData(addr, addr, addr, false, false, nil)) {
+			t.Fatalf("enqueue %d refused below QueueCap", i)
+		}
+	}
+	if !tm.TryReserve() {
+		t.Fatal("reservation of the last slot refused")
+	}
+	// The reservation holds the last slot: both paths refuse and count.
+	if tm.TryReserve() {
+		t.Fatal("TryReserve accepted past QueueCap")
+	}
+	if tm.Stats.QueueDrops != 1 {
+		t.Fatalf("QueueDrops = %d after a refused reservation, want 1", tm.Stats.QueueDrops)
+	}
+	if !tm.Enqueue(frame.NewData(addr, addr, addr, false, false, nil)) {
+		t.Fatal("enqueue refused despite a reservation")
+	}
+	if tm.Enqueue(frame.NewData(addr, addr, addr, false, false, nil)) {
+		t.Fatal("Enqueue accepted past QueueCap")
+	}
+	if tm.Stats.QueueDrops != 2 || tm.Stats.Queued != capacity || tm.queue.len() != capacity {
+		t.Fatalf("stats %+v, queue %d; want 2 drops and %d queued", tm.Stats, tm.queue.len(), capacity)
+	}
+}
+
+func TestBaselineArgumentPanics(t *testing.T) {
+	var addr frame.MACAddr
+	for _, c := range []struct {
+		name, want string
+		build      func(k *sim.Kernel, r *medium.Radio)
+	}{
+		{"tdma nSlots 0", "slot count 0", func(k *sim.Kernel, r *medium.Radio) {
+			NewTDMA(k, r, addr, 3, 0, 0, 0, sim.Millisecond)
+		}},
+		{"tdma nSlots -2", "slot count -2", func(k *sim.Kernel, r *medium.Radio) {
+			NewTDMA(k, r, addr, 3, 0, 0, -2, sim.Millisecond)
+		}},
+		{"tdma slot -1", "slot -1 outside [0, 4)", func(k *sim.Kernel, r *medium.Radio) {
+			NewTDMA(k, r, addr, 3, 0, -1, 4, sim.Millisecond)
+		}},
+		{"tdma slot nSlots", "slot 4 outside [0, 4)", func(k *sim.Kernel, r *medium.Radio) {
+			NewTDMA(k, r, addr, 3, 0, 4, 4, sim.Millisecond)
+		}},
+		{"tdma slotDur 0", "slot duration 0", func(k *sim.Kernel, r *medium.Radio) {
+			NewTDMA(k, r, addr, 3, 0, 0, 4, 0)
+		}},
+		{"tdma slotDur negative", "slot duration -1", func(k *sim.Kernel, r *medium.Radio) {
+			NewTDMA(k, r, addr, 3, 0, 0, 4, -sim.Millisecond)
+		}},
+		{"aloha slot negative", "ALOHA slot -1", func(k *sim.Kernel, r *medium.Radio) {
+			NewAloha(k, r, addr, 3, 0, -sim.Millisecond)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				p := recover()
+				if msg, _ := p.(string); !strings.Contains(msg, c.want) {
+					t.Fatalf("panic %v, want a message containing %q", p, c.want)
+				}
+			}()
+			c.build(baselineRadio(34))
+		})
 	}
 }

@@ -22,17 +22,11 @@ type DCF struct {
 
 	receiver Receiver
 
-	// queue is a FIFO ring: qHead indexes the next MSDU to transmit, and
-	// the slice resets to its base whenever it drains, so steady-state
-	// enqueue/dequeue reuses one backing array forever. jobFree recycles
-	// txJob structs the same way (see releaseJob).
-	queue   []*txJob
-	qHead   int
+	// queue holds the MSDUs waiting behind cur (see txQueue). jobFree
+	// recycles txJob structs (see releaseJob).
+	queue   txQueue[*txJob]
 	jobFree []*txJob
 	cur     *txJob
-	// reserved counts queue slots promised by TryReserve but not yet
-	// consumed by Enqueue; they are part of the queue's occupancy.
-	reserved int
 
 	// Channel state tracking.
 	busy         bool     // physical CCA (includes own TX)
@@ -92,6 +86,7 @@ func New(k *sim.Kernel, radio *medium.Radio, cfg Config, rc RateController, src 
 		rng:          src.Split("dcf:" + radio.Name()),
 		backoffSlots: -1,
 		cw:           cfg.CWmin,
+		queue:        newTxQueue[*txJob](cfg.QueueCap),
 		dedup:        newDedupCache(),
 		reasm:        newReassembler(),
 	}
@@ -122,7 +117,7 @@ func (d *DCF) Mode() *phy.Mode { return d.mode }
 func (d *DCF) Stats() Stats { return d.stats }
 
 // QueueLen returns the number of queued MSDUs (excluding the in-flight one).
-func (d *DCF) QueueLen() int { return len(d.queue) - d.qHead }
+func (d *DCF) QueueLen() int { return d.queue.len() }
 
 // QueueCap returns the transmit queue capacity in MSDUs. Send paths size
 // their frame pools from it: the MAC never holds more than QueueCap+1
@@ -144,21 +139,16 @@ func (d *DCF) SetReceiver(r Receiver) { d.receiver = r }
 // is settled by the next Enqueue call — success or failure — or by Release;
 // abandoning it any other way would permanently shrink the queue.
 func (d *DCF) TryReserve() bool {
-	if d.QueueLen()+d.reserved >= d.cfg.QueueCap {
+	if !d.queue.reserve() {
 		d.stats.QueueDrops++
 		return false
 	}
-	d.reserved++
 	return true
 }
 
 // Release returns an unused TryReserve slot to the queue. Send paths call
 // it when frame construction fails after a successful reservation.
-func (d *DCF) Release() {
-	if d.reserved > 0 {
-		d.reserved--
-	}
-}
+func (d *DCF) Release() { d.queue.release() }
 
 // Enqueue accepts an MSDU (data or management frame) for transmission. The
 // caller sets the address fields; the MAC owns Seq/Frag/Retry/Duration. It
@@ -169,19 +159,11 @@ func (d *DCF) Release() {
 // An outstanding TryReserve reservation is settled here whether or not the
 // enqueue succeeds, so a failing Enqueue can never leak the reservation.
 func (d *DCF) Enqueue(f *frame.Frame) bool {
-	if d.reserved > 0 {
-		// Settling a reservation keeps QueueLen+reserved constant, so the
-		// occupancy invariant below still holds without a recheck.
-		d.reserved--
-	} else if d.QueueLen()+d.reserved >= d.cfg.QueueCap {
-		// Count outstanding reservations as occupancy, exactly like
-		// TryReserve: otherwise an unreserved enqueue could fill the queue
-		// past the QueueCap bound the transmit pools size themselves by.
+	if !d.queue.admit() {
 		d.stats.QueueDrops++
 		return false
 	}
-	job := d.makeJob(f)
-	d.queue = append(d.queue, job)
+	d.queue.push(d.makeJob(f))
 	d.stats.MSDUQueued++
 	d.tryAccess()
 	return true
@@ -317,28 +299,10 @@ func (d *DCF) resetCW() { d.cw = d.cfg.CWmin }
 // access: enqueue, CCA idle, NAV expiry, TX completion, timeouts.
 func (d *DCF) tryAccess() {
 	if d.cur == nil {
-		if d.qHead == len(d.queue) {
+		if d.queue.len() == 0 {
 			return
 		}
-		d.cur = d.queue[d.qHead]
-		d.queue[d.qHead] = nil // drop the ring's reference for the job pool
-		d.qHead++
-		switch {
-		case d.qHead == len(d.queue):
-			// Drained: rewind so the backing array is reused forever.
-			d.queue = d.queue[:0]
-			d.qHead = 0
-		case d.qHead >= 64 && d.qHead*2 >= len(d.queue):
-			// A saturated queue never fully drains, so the consumed prefix
-			// would grow one slot per delivered MSDU; compact in place once
-			// it dominates. Amortized O(1) per pop, no allocation.
-			n := copy(d.queue, d.queue[d.qHead:])
-			for i := n; i < len(d.queue); i++ {
-				d.queue[i] = nil
-			}
-			d.queue = d.queue[:n]
-			d.qHead = 0
-		}
+		d.cur = d.queue.pop()
 	}
 	if d.radio.Transmitting() || d.pending != respNone || d.sifsEvent.Scheduled() {
 		return

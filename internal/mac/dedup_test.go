@@ -222,9 +222,8 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// A saturated queue never fully drains, so the FIFO ring's rewind-on-empty
-// path never runs; the consumed prefix must be compacted instead of growing
-// one slot per delivered MSDU forever.
+// A saturated queue never fully drains; its ring must stay within the
+// queue bound instead of growing one slot per delivered MSDU forever.
 func TestSaturatedQueueArrayBounded(t *testing.T) {
 	b := newBed(92, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	n := b.addNode("a", geom.Pt(0, 0), Config{QueueCap: 4})
@@ -242,9 +241,9 @@ func TestSaturatedQueueArrayBounded(t *testing.T) {
 	if st := d.Stats(); st.MSDUDelivered < 1000 {
 		t.Fatalf("only %d MSDUs delivered; the saturation loop is broken", st.MSDUDelivered)
 	}
-	if got := cap(d.queue); got > 256 {
-		t.Fatalf("saturated queue backing array grew to cap %d (len %d, head %d) — compaction broken",
-			got, len(d.queue), d.qHead)
+	if got := len(d.queue.buf); got > 4 {
+		t.Fatalf("saturated queue ring grew to %d slots (len %d, head %d), past QueueCap 4",
+			got, d.queue.len(), d.queue.head)
 	}
 }
 

@@ -4,6 +4,13 @@
 // plus the baseline MACs (pure/slotted ALOHA, ideal TDMA) the experiments
 // compare against.
 //
+// The baseline MACs have no acknowledgements or retransmissions, but they
+// share the DCF's transmit contract: a transmit queue bounded by QueueCap
+// with the same TryReserve admission rule (txQueue), and upward delivery
+// only of frames addressed to the station or to a group address. Any of
+// the three can therefore sit under a net80211.Adhoc node and its pooled
+// send path.
+//
 // The DCF is the mechanism under study: it talks downward to a
 // medium.Radio (CCA edges, RX frames, TX completions) and upward to the
 // management plane through reassembled MSDU delivery. Rate selection is
@@ -17,7 +24,9 @@
 // retransmits from the same storage, and fragment views alias the body.
 // Callers that pool transmit frames (the net80211 send paths) may therefore
 // reuse a frame only once the MAC can no longer hold it; the MAC holds at
-// most QueueCap()+1 frames at a time (the queue plus the in-flight job), so
+// most QueueCap()+1 frames at a time (the queue plus the in-flight job;
+// a baseline MAC hands each frame to the radio, which serialises it, the
+// moment it leaves the queue), so
 // a pool of QueueCap()+2 slots advanced per accepted Enqueue is always
 // safe. Callers that retain a frame elsewhere while also enqueueing it
 // (e.g. power-save buffers) must hand the MAC a Clone.

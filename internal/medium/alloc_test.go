@@ -19,7 +19,7 @@ func TestSteadyStateDecodeZeroAlloc(t *testing.T) {
 	f := dataFrame(700)
 	fire := func() { tx.Transmit(f, 3) }
 
-	// Warm the pools, the link cache and the neighbor lists.
+	// Warm the pools and the link cache.
 	for i := 0; i < 8; i++ {
 		k.Schedule(0, "tx", fire)
 		k.Run()

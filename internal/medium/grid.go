@@ -16,9 +16,9 @@ type cellKey struct{ x, y int32 }
 
 // spatial is the medium's uniform-grid index over radio positions. It
 // exists to make transmit fan-out sublinear in radio count: instead of
-// walking every radio (or a per-transmitter neighbor list that any
-// movement invalidates wholesale), the fan-out walks only the cells within
-// the transmitter's detection range.
+// walking every radio (the other fan-out path, which serves channels the
+// index cannot bound), the fan-out walks only the cells within the
+// transmitter's detection range.
 //
 // Per-radio state is struct-of-arrays — positions, cell assignments and
 // detection ranges live in flat parallel slices indexed by radio id — so
@@ -62,8 +62,8 @@ type spatial struct {
 // gridReady (re)builds the spatial index if a topology mutation or margin
 // change made it stale, and reports whether it is usable. A failed build —
 // a path-loss configuration whose range cannot be bounded — leaves the
-// index off until the next mutation, and fan-out falls back to the
-// neighbor-list / all-pairs paths.
+// index off until the next mutation, and fan-out falls back to walking
+// every radio.
 func (m *Medium) gridReady() bool {
 	g := &m.sp
 	if !m.gridDirty && g.margin == m.DetectionMarginDB {

@@ -9,9 +9,11 @@
 //
 // # Fan-out pruning and the spatial index
 //
-// On fading-free channels whose path-loss model can bound detection range
-// (spectrum.RangeBounder), transmit fan-out walks a uniform-grid spatial
-// index instead of every radio. The index's invalidation contract: topology
+// Transmit fan-out takes one of two paths. On fading-free, shadowing-free
+// channels whose path-loss model can bound detection range
+// (spectrum.RangeBounder), it walks a uniform-grid spatial index; on every
+// other channel it walks all radios, and the per-receiver power filter
+// drops the ones out of range. The index's invalidation contract: topology
 // mutations — AddRadio, SetMobility and DetectionMarginDB changes, all of
 // which can change detection ranges or the cell size — rebuild it from
 // scratch before the next transmission, while ordinary mobility migrates
@@ -183,19 +185,6 @@ type Medium struct {
 	// it stale after topology mutations.
 	sp        spatial
 	gridDirty bool
-
-	// neighbors[i] caches, for static transmitter i on a fading-free
-	// channel whose loss cannot be range-bounded (so the spatial index is
-	// unavailable), the radios its transmissions can possibly reach: every
-	// non-static radio plus each static radio whose link power clears the
-	// detection margin. Fan-out walks this list instead of all radios.
-	// Channel mismatches are still filtered per transmission, so channel
-	// switches need no invalidation; mobility and margin changes do — by
-	// bumping neighborEpoch, which stales every list in O(1).
-	neighbors      [][]*Radio
-	neighborBuilt  []uint64
-	neighborEpoch  uint64
-	neighborMargin float64
 }
 
 // New creates an empty medium on the kernel with the given channel model.
@@ -227,7 +216,6 @@ func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 		m.sp.enabled = true
 	}
 	m.sp.cells = make(map[cellKey][]int32)
-	m.neighborEpoch = 1 // zero-valued neighborBuilt entries read as stale
 	return m
 }
 
@@ -306,57 +294,19 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	var empty [linkWays]linkCacheEntry
 	m.links = append(m.links, empty[:]...)
 	m.linkGen = append(m.linkGen, 0)
-	m.neighbors = append(m.neighbors, nil)
-	m.neighborBuilt = append(m.neighborBuilt, 0)
 	// The new radio may appear in any transmitter's fan-out, and its noise
-	// floor can tighten every detection range: stale every neighbor list
-	// and rebuild the spatial index before the next transmission.
-	m.neighborEpoch++
+	// floor can tighten every detection range: rebuild the spatial index
+	// before the next transmission.
 	m.gridDirty = true
 	return r
 }
 
 // invalidateLinks drops cached gains for every link touching radio id
-// (O(1): the radio's generation advances, orphaning its tagged entries),
-// stales every neighbor list (the radio may have entered or left detection
-// range of any transmitter), and marks the spatial index for rebuild.
+// (O(1): the radio's generation advances, orphaning its tagged entries)
+// and marks the spatial index for rebuild.
 func (m *Medium) invalidateLinks(id int) {
 	m.linkGen[id]++
-	m.neighborEpoch++
 	m.gridDirty = true
-}
-
-// neighborCandidates returns (building lazily if needed) the fan-out list
-// for static transmitter r. Valid only when noFast && shadowConst: then the
-// cached link power is exactly what linkPhysics would return, so filtering
-// here is bit-identical to filtering inside the fan-out loop.
-func (m *Medium) neighborCandidates(r *Radio, t *transmission) []*Radio {
-	if m.DetectionMarginDB != m.neighborMargin {
-		m.neighborEpoch++ // one bump stales every list
-		m.neighborMargin = m.DetectionMarginDB
-	}
-	if m.neighborBuilt[r.id] == m.neighborEpoch {
-		return m.neighbors[r.id]
-	}
-	list := m.neighbors[r.id][:0]
-	for _, rx := range m.radios {
-		if rx == r {
-			continue
-		}
-		if !rx.static {
-			// Moving receivers stay in the list; their power is computed
-			// per transmission.
-			list = append(list, rx)
-			continue
-		}
-		power, _, _ := m.linkPhysics(r, rx, t)
-		if float64(power) >= float64(rx.noiseFloor)-m.DetectionMarginDB {
-			list = append(list, rx)
-		}
-	}
-	m.neighbors[r.id] = list
-	m.neighborBuilt[r.id] = m.neighborEpoch
-	return list
 }
 
 // --- object pools ---------------------------------------------------------
@@ -504,15 +454,13 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 	}
 
 	// Deliver arrival start/end events to every other radio on the channel.
-	// Candidate pruning — the spatial index when the model supports it,
-	// else the per-transmitter neighbor list — only ever drops receivers
-	// the power filter below would drop, and preserves ascending-id
-	// order, so the delivered arrivals are identical to the full walk.
+	// Fan-out walks the spatial index when the model supports it, else
+	// every radio; the index only ever drops receivers the power filter
+	// below would drop, and preserves ascending-id order, so the delivered
+	// arrivals are identical to the full walk.
 	cands := m.radios
 	if m.sp.enabled && m.gridReady() {
 		cands = m.gridCandidates(r, t)
-	} else if m.noFast && m.shadowConst && r.static {
-		cands = m.neighborCandidates(r, t)
 	}
 	m.FanoutCandidates += uint64(len(cands))
 	starts := m.starts[:0]

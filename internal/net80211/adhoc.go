@@ -7,13 +7,26 @@ import (
 	"repro/internal/sim"
 )
 
+// MAC is the link layer an Adhoc node sends through: the DCF or one of
+// the baseline MACs (mac.Aloha, mac.TDMA). Enqueue follows the DCF's
+// transmit ownership contract (mac package doc): the MAC holds at most
+// QueueCap()+1 frames, and a successful TryReserve guarantees the next
+// Enqueue is accepted.
+type MAC interface {
+	Address() frame.MACAddr
+	QueueCap() int
+	TryReserve() bool
+	Enqueue(f *frame.Frame) bool
+	SetReceiver(r mac.Receiver)
+}
+
 // Adhoc is an IBSS (independent BSS) node: stations exchange data frames
 // directly with ToDS = FromDS = 0 and a shared, locally administered BSSID.
 // There is no association machinery; the experiments use it for mesh-style
-// topologies.
+// topologies and, over a baseline MAC, for the MAC comparison.
 type Adhoc struct {
 	k     *sim.Kernel
-	dcf   *mac.DCF
+	mac   MAC
 	bssid frame.MACAddr
 	tx    *txPool
 
@@ -26,9 +39,9 @@ type Adhoc struct {
 
 // NewAdhoc joins a node to the IBSS identified by bssid (all members must
 // share it).
-func NewAdhoc(k *sim.Kernel, dcf *mac.DCF, bssid frame.MACAddr) *Adhoc {
-	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, tx: newTxPool(dcf.QueueCap())}
-	dcf.SetReceiver(a.receive)
+func NewAdhoc(k *sim.Kernel, m MAC, bssid frame.MACAddr) *Adhoc {
+	a := &Adhoc{k: k, mac: m, bssid: bssid, tx: newTxPool(m.QueueCap())}
+	m.SetReceiver(a.receive)
 	return a
 }
 
@@ -37,10 +50,7 @@ func NewAdhoc(k *sim.Kernel, dcf *mac.DCF, bssid frame.MACAddr) *Adhoc {
 func IBSSID() frame.MACAddr { return frame.MACAddr{0x02, 0xad, 0x0c, 0, 0, 0x01} }
 
 // Address returns the node's MAC address.
-func (a *Adhoc) Address() frame.MACAddr { return a.dcf.Address() }
-
-// MAC exposes the underlying DCF.
-func (a *Adhoc) MAC() *mac.DCF { return a.dcf }
+func (a *Adhoc) Address() frame.MACAddr { return a.mac.Address() }
 
 // Send transmits an application payload directly to dst (or broadcast).
 // TryReserve pins a queue slot before the pooled frame is built; Enqueue
@@ -48,7 +58,7 @@ func (a *Adhoc) MAC() *mac.DCF { return a.dcf }
 // can neither leak the reservation nor strand the pooled slot (regression:
 // TestAdhocSendNoReservationLeak).
 func (a *Adhoc) Send(dst frame.MACAddr, payload []byte) bool {
-	if !a.dcf.TryReserve() {
+	if !a.mac.TryReserve() {
 		return false
 	}
 	slot := a.tx.slot()
@@ -58,7 +68,7 @@ func (a *Adhoc) Send(dst frame.MACAddr, payload []byte) bool {
 		Addr1: dst, Addr2: a.Address(), Addr3: a.bssid,
 		Body: slot.body,
 	}
-	if !a.dcf.Enqueue(&slot.f) {
+	if !a.mac.Enqueue(&slot.f) {
 		return false
 	}
 	a.tx.commit()

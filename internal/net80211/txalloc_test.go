@@ -59,6 +59,41 @@ func TestAdhocSendZeroAlloc(t *testing.T) {
 	}
 }
 
+// The baseline MACs ride the same pooled send path: steady-state Send over
+// ALOHA or TDMA is allocation-free too.
+func TestAdhocSendZeroAllocBaseline(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func(w *world, r *medium.Radio, slot int) MAC
+	}{
+		{"aloha", func(w *world, r *medium.Radio, _ int) MAC {
+			return mac.NewAloha(w.k, r, w.alloc.Next(), 3, 0, 0)
+		}},
+		{"tdma", func(w *world, r *medium.Radio, slot int) MAC {
+			return mac.NewTDMA(w.k, r, w.alloc.Next(), 3, 0, slot, 2, sim.Millisecond)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(28, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+			node := func(name string, p geom.Point, slot int) *Adhoc {
+				r := w.m.AddRadio(medium.RadioConfig{
+					Name: name, Mode: phy.Mode80211b(), Channel: 1,
+					Mobility: geom.Static{P: p}, TxPower: 16,
+				})
+				return NewAdhoc(w.k, c.mk(w, r, slot), IBSSID())
+			}
+			a := node("a", geom.Pt(0, 0), 0)
+			b := node("b", geom.Pt(10, 0), 1)
+			payload := make([]byte, 600)
+			dst := b.Address()
+			warmThenMeasure(t, w.k, func() bool { return a.Send(dst, payload) })
+			if b.RxPayloads == 0 {
+				t.Fatal("nothing delivered during the wall")
+			}
+		})
+	}
+}
+
 // infraPair associates one station with one AP (optionally WEP) and stops
 // the beacons so the measured window contains only the data path. The
 // beacon watchdog keeps ticking, so BeaconMissLimit is set high enough

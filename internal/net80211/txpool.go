@@ -10,7 +10,7 @@ import (
 // plaintext scratch WEP sealing reads from.
 //
 // Ownership protocol: slot() hands out the current slot for the caller to
-// fill and pass to mac.DCF.Enqueue. If the MAC accepts the frame the caller
+// fill and pass to the MAC's Enqueue. If the MAC accepts the frame the caller
 // must commit() — ownership has moved to the MAC until the MSDU is
 // delivered or dropped. If the enqueue is refused (or the frame is handed
 // somewhere that clones it, like a power-save buffer) the caller simply
