@@ -7,7 +7,7 @@
 //
 //	wlanbench [-ids F1,F2] [-runs 3] [-full] [-workers N] \
 //	          [-clusteragents N | -agents h1:p,h2:p] \
-//	          [-baseline old.json] [-out BENCH_PR14.json]
+//	          [-baseline old.json] [-out BENCH_PR15.json]
 //
 // With -baseline, the report embeds the older report and per-experiment
 // speedup factors, which is how BENCH_PR1.json records the pre-PR seed
@@ -142,7 +142,7 @@ func main() {
 	baseline := flag.String("baseline", "", "older report to embed and compare against")
 	chaosSeed := flag.Int64("chaos", 0, "chaos mode: run each experiment's cluster sweep under the seeded faultnet injector and assert byte-identity with sequential (0 = off)")
 	ckpt := flag.String("checkpoint", "", "journal the cluster measurement's verified chunks to this file (per-experiment suffix added) and resume on restart")
-	out := flag.String("out", "BENCH_PR14.json", "output path (- for stdout)")
+	out := flag.String("out", "BENCH_PR15.json", "output path (- for stdout)")
 	note := flag.String("note", "", "free-form measurement note recorded in the report (';'-separated)")
 	failAllocs := flag.String("failallocs", "", "report whose per-experiment allocs/op are a hard ceiling: exit non-zero on any increase (allocs are deterministic, unlike wall times)")
 	failEvents := flag.String("failevents", "", "report whose per-experiment events/s are a regression floor: exit non-zero when throughput drops below -eventsslack of the recorded value")

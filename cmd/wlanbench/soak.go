@@ -18,9 +18,9 @@ import (
 const soakChunk = 2 * sim.Second
 
 // soakWarmup is the virtual time excluded from the steady-state assertions:
-// pools and queues reach their high-water marks, airtime tables resolve and
-// the sink's bounded duplicate windows fill (4096 packets per flow) before
-// the system settles to literal zero allocations per chunk.
+// pools and queues reach their high-water marks and the sink's bounded
+// duplicate windows fill (4096 packets per flow) before the system settles
+// to literal zero allocations per chunk.
 const soakWarmup = 120 * sim.Second
 
 // soakWarmupChunks is soakWarmup expressed in chunks.
@@ -60,7 +60,7 @@ func runSoak(dur time.Duration) int {
 
 	// Fixed-seed scenario: eight 802.11g ad-hoc stations on a 30 m ring,
 	// every station saturating toward its neighbour. Dense contention keeps
-	// the medium — and the event cohorts — busy.
+	// the medium busy.
 	net := core.NewNetwork(core.Config{Seed: 7, Mode: "802.11g"})
 	const nSta = 8
 	ring := geom.Circle(nSta, 15, geom.Pt(0, 0))

@@ -22,15 +22,13 @@
 //   - internal/sim pools Event objects on a free list behind
 //     generation-checked Timer handles, keeps the queue as a
 //     struct-of-arrays 4-ary heap of (at, seq, slot) keys, and reaps
-//     cancelled events lazily in bulk. ScheduleArg gives hot callers
-//     closure-free scheduling, and ScheduleRun queues a sorted run of
+//     cancelled events lazily in bulk. ScheduleRun queues a sorted run of
 //     callbacks behind a single heap key.
 //   - internal/medium pools transmissions and arrivals, queues each
 //     transmission's arrival edges as two sorted runs, caches per-link
 //     gain and propagation delay for static radio pairs (invalidated on
 //     movement), prunes fan-out through a uniform-grid spatial index, reuses
-//     wire buffers, decodes each transmission once per fan-out, and
-//     memoizes the PHY chunk-error model.
+//     wire buffers, and decodes each transmission once per fan-out.
 //   - internal/harness runs each experiment's independent scenario points
 //     on a bounded worker pool (GOMAXPROCS workers) with row order — and
 //     therefore output — bit-identical to sequential execution.

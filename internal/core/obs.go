@@ -26,8 +26,6 @@ var MetricsEvery sim.Duration
 // so each flush adds only the delta.
 type obsSnapshot struct {
 	processed     uint64
-	cohortBuckets [8]uint64
-	cohortEvents  uint64
 	transmissions uint64
 	fanoutCand    uint64
 	fanoutDeliv   uint64
@@ -45,17 +43,11 @@ func (n *Network) flushObs() {
 	last := &n.obsLast
 
 	processed := k.Processed()
-	obs.Sim.Events.Add(processed - last.processed)
+	events := processed - last.processed
+	obs.Sim.Events.Add(events)
+	// The kernel pops one event at a time: every event is a size-1 cohort.
+	obs.Sim.CohortSize.AddBuckets([]uint64{events}, events)
 	last.processed = processed
-
-	buckets, events := k.CohortSizes()
-	var deltas [8]uint64
-	for i := range buckets {
-		deltas[i] = buckets[i] - last.cohortBuckets[i]
-	}
-	obs.Sim.CohortSize.AddBuckets(deltas[:], events-last.cohortEvents)
-	last.cohortBuckets = buckets
-	last.cohortEvents = events
 
 	obs.Sim.NowNs.Set(int64(k.Now()))
 	obs.Sim.HeapDepth.Set(int64(k.HeapDepth()))

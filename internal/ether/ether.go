@@ -81,7 +81,7 @@ func (s *Switch) forward(fromID int, f Frame) {
 	}
 }
 
-// Relearn moves an address to a new port (used when a station roams and
-// the new AP announces it). Sending any frame from the new port also
-// relearns automatically.
+// Relearn moves an address to a new port. An AP registers its own BSSID
+// this way when it attaches, since it never sends from that address.
+// Sending any frame from the new port also relearns automatically.
 func (s *Switch) Relearn(addr frame.MACAddr, p *Port) { s.table[addr] = p.id }

@@ -167,13 +167,6 @@ type Radio struct {
 	static     bool
 	nameTxDone string
 	txDoneFn   func()
-	// chunkCache memoizes the PHY error model: static topologies hit the
-	// same (mode, rate, SINR, bits) tuples on every frame.
-	chunkCache [chunkCacheSize]chunkCacheEntry
-	// dbCache memoizes the linear→dB conversion of the per-frame minimum
-	// SINR: static topologies see the same handful of SINR levels on every
-	// frame, and log10 is pure, so caching cannot perturb results.
-	dbCache [dbCacheSize]dbCacheEntry
 
 	sleepStart sim.Time
 	Stats      RadioStats
@@ -413,7 +406,7 @@ func (r *Radio) foldSpan(to sim.Time) {
 	}
 	sinr := a.powerMW / (r.noiseFloorMW + r.seg.interfMW)
 	bits := int(float64(a.t.bits) * float64(dur) / float64(a.t.airtime))
-	r.seg.success *= r.chunkSuccess(a.t.mode, a.t.rate, sinr, bits)
+	r.seg.success *= a.t.mode.ChunkSuccess(a.t.rate, sinr, bits)
 	if sinr < r.seg.minLin {
 		r.seg.minLin = sinr
 	}
@@ -449,58 +442,6 @@ func (r *Radio) arrivalEnd(a *arrival) {
 	r.medium.releaseArrival(a)
 }
 
-// chunkCacheSize is the direct-mapped PHY-memo size (power of two).
-const chunkCacheSize = 256
-
-// chunkCacheEntry memoizes one ChunkSuccess evaluation.
-type chunkCacheEntry struct {
-	mode *phy.Mode
-	sinr float64
-	bits int32
-	rate phy.RateIdx
-	ok   bool
-	val  float64
-}
-
-// chunkSuccess is a memoized a.t.mode.ChunkSuccess: identical inputs give
-// identical outputs, so the cache cannot perturb results.
-//
-//wlan:hotpath
-func (r *Radio) chunkSuccess(mode *phy.Mode, rate phy.RateIdx, sinr float64, bits int) float64 {
-	h := (math.Float64bits(sinr) ^ uint64(bits)<<1 ^ uint64(rate)<<40) % chunkCacheSize
-	e := &r.chunkCache[h]
-	if e.ok && e.mode == mode && e.rate == rate && e.sinr == sinr && e.bits == int32(bits) {
-		return e.val
-	}
-	v := mode.ChunkSuccess(rate, sinr, bits)
-	*e = chunkCacheEntry{mode: mode, sinr: sinr, bits: int32(bits), rate: rate, ok: true, val: v}
-	return v
-}
-
-// dbCacheSize is the direct-mapped linear→dB memo size (power of two).
-const dbCacheSize = 16
-
-// dbCacheEntry memoizes one DBFromLinear evaluation.
-type dbCacheEntry struct {
-	lin float64
-	db  units.DB
-	ok  bool
-}
-
-// dbFromLinear is a memoized units.DBFromLinear.
-//
-//wlan:hotpath
-func (r *Radio) dbFromLinear(lin float64) units.DB {
-	h := math.Float64bits(lin) % dbCacheSize
-	e := &r.dbCache[h]
-	if e.ok && e.lin == lin {
-		return e.db
-	}
-	v := units.DBFromLinear(lin)
-	*e = dbCacheEntry{lin: lin, db: v, ok: true}
-	return v
-}
-
 // finishLock folds the final span, evaluates the locked frame's fate from
 // the accumulated per-span products, and notifies the listener.
 func (r *Radio) finishLock(a *arrival) {
@@ -512,7 +453,7 @@ func (r *Radio) finishLock(a *arrival) {
 	// one conversion of the minimum matches converting every span.
 	minSINR := units.DB(1000)
 	if !math.IsInf(r.seg.minLin, 1) {
-		if db := r.dbFromLinear(r.seg.minLin); db < minSINR {
+		if db := units.DBFromLinear(r.seg.minLin); db < minSINR {
 			minSINR = db
 		}
 	}

@@ -188,9 +188,13 @@ func (ap *AP) Stop() { ap.stopBeacons() }
 // MAC exposes the underlying DCF (for stats in experiments).
 func (ap *AP) MAC() *mac.DCF { return ap.dcf }
 
-// AttachDS connects the AP to a wired distribution system switch.
+// AttachDS connects the AP to a wired distribution system switch and
+// registers the AP's BSSID on its port. The AP never sends from its own
+// address on the wire, so without this the switch would flood every frame
+// bridged to it across all ports.
 func (ap *AP) AttachDS(sw *ether.Switch) {
 	ap.port = sw.AddPort(ap.fromDS)
+	sw.Relearn(ap.BSSID(), ap.port)
 }
 
 // Associated reports whether addr is an associated station.

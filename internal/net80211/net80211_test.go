@@ -165,6 +165,44 @@ func TestESSRoamingAcrossDS(t *testing.T) {
 	}
 }
 
+// An AP's BSSID is never the source of a frame on its own DS port, so the
+// switch must be told where each AP sits: a frame bridged to another AP's
+// BSSID is then forwarded to that AP alone instead of flooding every port.
+func TestDSForwardsToPeerAPBSSID(t *testing.T) {
+	w := newWorld(12, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+	sw := ether.NewSwitch(w.k, 10*sim.Microsecond)
+	var aps [3]*AP
+	for i, ssid := range []string{"bss0", "bss1", "bss2"} {
+		aps[i] = NewAP(w.k, w.dcf(ssid, geom.Pt(float64(100*i), 0), 1), APConfig{SSID: ssid})
+		aps[i].AttachDS(sw)
+	}
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(100, 10), 1), STAConfig{SSID: "bss1"})
+
+	var got []byte
+	aps[0].OnDeliver = func(_, _ frame.MACAddr, payload []byte) { got = append([]byte(nil), payload...) }
+	w.k.RunUntil(sim.Time(2 * sim.Second))
+	if sta.BSSID() != aps[1].BSSID() {
+		t.Fatalf("station joined %v, want ap1 %v", sta.BSSID(), aps[1].BSSID())
+	}
+
+	flooded, forwarded := sw.Flooded, sw.Forwarded
+	w.k.Schedule(0, "send", func() { sta.Send(aps[0].BSSID(), []byte("to ap0")) })
+	w.k.RunUntil(sim.Time(3 * sim.Second))
+
+	if aps[1].Stats.ToDS != 1 {
+		t.Fatalf("ap1 bridged %d frames to the DS, want 1", aps[1].Stats.ToDS)
+	}
+	if d := sw.Flooded - flooded; d != 0 {
+		t.Errorf("frame to ap0's BSSID flooded %d time(s), want 0", d)
+	}
+	if d := sw.Forwarded - forwarded; d != 1 {
+		t.Errorf("frame to ap0's BSSID forwarded %d time(s), want 1", d)
+	}
+	if string(got) != "to ap0" {
+		t.Errorf("ap0 delivered %q, want %q", got, "to ap0")
+	}
+}
+
 func TestWEPSharedKeyAuth(t *testing.T) {
 	key := wep.Key{1, 2, 3, 4, 5}
 	w := newWorld(5, spectrum.FreeSpace{Freq: 2412 * units.MHz})

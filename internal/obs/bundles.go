@@ -6,9 +6,9 @@ package obs
 // instrumentation sites a typed handle instead of a string lookup.
 
 // cohortBounds are the inclusive upper edges for the cohort-size
-// histogram. They mirror the sim kernel's power-of-two bucket array:
-// kernel bucket i (sizes in (2^(i-1), 2^i]) folds into histogram bucket i,
-// with the 8th kernel bucket landing in +Inf.
+// histogram, in powers of two. The kernel pops one event at a time, so
+// only the first bucket ever fills; the family stays because the
+// benchmark's suite workload reads its count and sum.
 var cohortBounds = []uint64{1, 2, 4, 8, 16, 32, 64}
 
 // SimMetrics is the kernel family. The kernel itself never touches these —

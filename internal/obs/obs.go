@@ -122,8 +122,8 @@ func (h *Histogram) Observe(v uint64) {
 // AddBuckets folds pre-aggregated observations in: deltas[i] observations
 // landed in bucket i (deltas may be shorter than the bucket count), with
 // their values summing to sum. This is the flush-side ingestion path —
-// internal/core aggregates cohort sizes in plain per-kernel arrays and
-// folds the deltas in at chunk boundaries instead of paying an atomic
+// internal/core folds the events executed since the last flush into the
+// cohort-size histogram at chunk boundaries instead of paying an atomic
 // per event.
 //
 //wlan:hotpath

@@ -40,28 +40,6 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestScheduleArgZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	type payload struct{ hits int }
-	p := &payload{}
-	fn := func(x any) { x.(*payload).hits++ }
-	for i := 0; i < 64; i++ {
-		k.ScheduleArg(Duration(i)*Microsecond, "warm", fn, p)
-	}
-	k.Run()
-
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.ScheduleArg(10*Microsecond, "steady", fn, p)
-		k.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ScheduleArg+Run allocates %v/op, want 0", allocs)
-	}
-	if p.hits == 0 {
-		t.Fatal("ScheduleArg callback never ran")
-	}
-}
-
 // Steady-state sorted runs must not allocate: entries are copied into a
 // pooled buffer of the run's capacity class and the run slot is recycled,
 // so only the first runs of each size grow the pools.
@@ -70,6 +48,7 @@ func TestSortedRunZeroAlloc(t *testing.T) {
 	type payload struct{ hits int }
 	p := &payload{}
 	fn := func(x any) { x.(*payload).hits++ }
+	plain := func() { p.hits++ }
 	entries := make([]RunEntry, 0, 64)
 	schedule := func(n int) {
 		base := k.ReserveSeqs(n)
@@ -89,7 +68,7 @@ func TestSortedRunZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		schedule(40)
 		schedule(3)
-		k.ScheduleArg(5*Microsecond, "plain", fn, p)
+		k.Schedule(5*Microsecond, "plain", plain)
 		k.Run()
 	})
 	if allocs != 0 {

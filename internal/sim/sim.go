@@ -94,8 +94,6 @@ type Event struct {
 	queued bool   // in the heap; false on the free list or once popped
 	gen    uint32 // bumped on each recycle; Timer handles carry a copy
 	fn     func()
-	argFn  func(any) // static-dispatch alternative to fn; arg carries state
-	arg    any
 	name   string
 	cancel bool
 }
@@ -209,8 +207,7 @@ func (k *Kernel) Pending() int {
 // buckets (bucket i holds cohorts of size in (2^(i-1), 2^i], the last
 // bucket unbounded) and the number of events delivered through cohorts.
 // The kernel pops one event at a time, so every executed event counts as a
-// cohort of size 1. internal/core diffs successive snapshots to feed the
-// metrics registry.
+// cohort of size 1. It stays for the benchmark's per-layer counters.
 func (k *Kernel) CohortSizes() (buckets [8]uint64, events uint64) {
 	buckets[0] = k.processed
 	return buckets, k.processed
@@ -299,12 +296,12 @@ func (k *Kernel) getEvent() *Event {
 }
 
 // putEvent recycles a detached event. Bumping gen invalidates every Timer
-// handle that still points at it. The callback fields are deliberately NOT
-// cleared — the next scheduleAt overwrites every one of them, and nilling
-// pointers here costs a GC write barrier per recycled event on the hottest
-// kernel path. A free-listed event may therefore briefly pin its last
-// callback and argument; both belong to the same scenario as the kernel,
-// so nothing outlives its owner.
+// handle that still points at it. The callback field is deliberately NOT
+// cleared — the next scheduleAt overwrites it, and nilling a pointer here
+// costs a GC write barrier per recycled event on the hottest kernel path.
+// A free-listed event may therefore briefly pin its last callback, which
+// belongs to the same scenario as the kernel, so nothing outlives its
+// owner.
 //
 //wlan:hotpath
 func (k *Kernel) putEvent(e *Event) {
@@ -317,7 +314,7 @@ func (k *Kernel) putEvent(e *Event) {
 // --- scheduling ----------------------------------------------------------
 
 // scheduleAt is the shared slow-free insert path.
-func (k *Kernel) scheduleAt(at Time, name string, fn func(), argFn func(any), arg any) Timer {
+func (k *Kernel) scheduleAt(at Time, name string, fn func()) Timer {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, at, k.now))
 	}
@@ -325,8 +322,6 @@ func (k *Kernel) scheduleAt(at Time, name string, fn func(), argFn func(any), ar
 	e.at = at
 	e.seq = k.seq
 	e.fn = fn
-	e.argFn = argFn
-	e.arg = arg
 	e.name = name
 	e.queued = true
 	k.seq++
@@ -341,7 +336,7 @@ func (k *Kernel) scheduleAt(at Time, name string, fn func(), argFn func(any), ar
 // ScheduleAt queues fn to run at the absolute time at. Scheduling in the
 // past panics: that is always a model bug.
 func (k *Kernel) ScheduleAt(at Time, name string, fn func()) Timer {
-	return k.scheduleAt(at, name, fn, nil, nil)
+	return k.scheduleAt(at, name, fn)
 }
 
 // Schedule queues fn to run after delay d (which may be zero: the event runs
@@ -350,22 +345,7 @@ func (k *Kernel) Schedule(d Duration, name string, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for event %q", d, name))
 	}
-	return k.scheduleAt(k.now.Add(d), name, fn, nil, nil)
-}
-
-// ScheduleArg queues a static callback with an argument after delay d. It
-// exists for hot paths: passing a package-level func and a pointer argument
-// avoids the closure allocation Schedule forces on its callers.
-func (k *Kernel) ScheduleArg(d Duration, name string, fn func(any), arg any) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for event %q", d, name))
-	}
-	return k.scheduleAt(k.now.Add(d), name, nil, fn, arg)
-}
-
-// ScheduleArgAt is ScheduleArg with an absolute time.
-func (k *Kernel) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
-	return k.scheduleAt(at, name, nil, fn, arg)
+	return k.scheduleAt(k.now.Add(d), name, fn)
 }
 
 // ReserveSeqs reserves n consecutive sequence numbers for run entries and
@@ -466,8 +446,6 @@ func (k *Kernel) Cancel(t Timer) {
 	}
 	e.cancel = true
 	e.fn = nil
-	e.argFn = nil
-	e.arg = nil
 	k.cancelled++
 	if k.cancelled > 16 && k.cancelled > len(k.heap)/2 {
 		k.reapCancelled()
@@ -555,13 +533,9 @@ func (k *Kernel) drainStep(deadline Time) bool {
 			continue
 		}
 		k.enter(key.at, e.name)
-		fn, argFn, arg := e.fn, e.argFn, e.arg
+		fn := e.fn
 		k.putEvent(e) // recycle before invoking: the callback may reschedule
-		if argFn != nil {
-			argFn(arg)
-		} else {
-			fn()
-		}
+		fn()
 		return true
 	}
 	return false
